@@ -1,14 +1,16 @@
 (* Simulated-vs-real scaling of the process-backed executor (DESIGN.md
-   §14): for kmeans, pagerank, and TPC-H Q1 at 1/2/4 workers, run the
-   cluster simulator (modeled seconds at the same node count) and the
-   forked-worker executor (measured wall-clock), checking the process
-   value against the sequential reference.
+   §16): for kmeans, pagerank, and TPC-H Q1, time the sequential closure
+   backend (the baseline every parallel row is read against), then at
+   1/2/4 workers run the cluster simulator (modeled seconds at the same
+   node count) and the forked-worker executor (measured wall-clock),
+   checking the process value against the sequential reference.
 
-   Emits one JSON line per (app, workers) — the content of
-   BENCH_proc.json, the start of the real-execution perf trajectory:
+   Emits one JSON line per app for the baseline and one per (app,
+   workers) — the content of BENCH_proc.json:
 
-     {"app":"kmeans","workers":2,"simulated_s":...,"wall_s":...,
-      "value_ok":true}
+     {"app":"kmeans","target":"closure","wall_s":...}
+     {"app":"kmeans","target":"proc","workers":2,"simulated_s":...,
+      "wall_s":...,"value_ok":true}
 *)
 
 module R = Dmll_runtime
@@ -36,14 +38,18 @@ let apps () =
 
 let run () =
   Printf.printf
-    "Simulated cluster seconds vs real forked-worker wall-clock\n\
+    "Sequential closure wall-clock, then simulated cluster seconds vs real\n\
+     forked-worker wall-clock\n\
      (same programs, same inputs; value checked against the sequential\n\
      \ reference each time — exact, or 1e-6 for reassociated float \
      merges).\n\n";
   List.iter
     (fun (name, program, inputs) ->
       let c = Dmll.compile_with Dmll.Config.default program in
+      let t0 = Unix.gettimeofday () in
       let reference = (Dmll.execute Dmll.Config.default c ~inputs).Dmll.value in
+      Printf.printf "{\"app\":%S,\"target\":\"closure\",\"wall_s\":%.6g}\n%!"
+        name (Unix.gettimeofday () -. t0);
       List.iter
         (fun w ->
           let sim =
@@ -64,7 +70,7 @@ let run () =
             || V.approx_equal ~eps:1e-6 reference proc.R.Proc_cluster.value
           in
           Printf.printf
-            "{\"app\":%S,\"workers\":%d,\"simulated_s\":%.6g,\"wall_s\":%.6g,\"value_ok\":%b}\n%!"
+            "{\"app\":%S,\"target\":\"proc\",\"workers\":%d,\"simulated_s\":%.6g,\"wall_s\":%.6g,\"value_ok\":%b}\n%!"
             name w sim.R.Sim_common.seconds proc.R.Proc_cluster.seconds ok;
           if not ok then begin
             Printf.eprintf "proc_validate: %s@%d workers: value mismatch\n" name

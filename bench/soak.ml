@@ -241,7 +241,7 @@ let run_proc ~(programs : int) ~(seed : int) ~(verbose : bool) () : int =
   let rand = Random.State.make [| seed lxor 0x5DEECE66 |] in
   let progs = QCheck.Gen.generate ~n:programs ~rand gen_soak_program in
   let checked = ref 0 and skipped = ref 0 and mismatches = ref 0 in
-  let killed = ref 0 and pipe_cuts = ref 0 and stopped = ref 0 in
+  let killed = ref 0 and link_cuts = ref 0 and stopped = ref 0 in
   let deadline_kills = ref 0 and heartbeat_kills = ref 0 in
   let respawned = ref 0 and recovered = ref 0 and master = ref 0 in
   List.iteri
@@ -302,7 +302,7 @@ let run_proc ~(programs : int) ~(seed : int) ~(verbose : bool) () : int =
               end;
               let s = murdered.R.Proc_cluster.stats in
               killed := !killed + s.R.Proc_cluster.killed;
-              pipe_cuts := !pipe_cuts + s.R.Proc_cluster.pipe_cuts;
+              link_cuts := !link_cuts + s.R.Proc_cluster.link_cuts;
               stopped := !stopped + s.R.Proc_cluster.stopped;
               deadline_kills := !deadline_kills + s.R.Proc_cluster.deadline_kills;
               heartbeat_kills :=
@@ -317,13 +317,13 @@ let run_proc ~(programs : int) ~(seed : int) ~(verbose : bool) () : int =
   Printf.printf
     "{\"proc_programs\": %d, \"checked\": %d, \"skipped\": %d, \
      \"mismatches\": %d, \"seed\": %d, \"events\": {\"killed\": %d, \
-     \"pipe_cuts\": %d, \"stopped\": %d, \"deadline_kills\": %d, \
+     \"link_cuts\": %d, \"stopped\": %d, \"deadline_kills\": %d, \
      \"heartbeat_kills\": %d, \"respawned\": %d, \"recovered_chunks\": %d, \
      \"master_chunks\": %d}}\n"
-    programs !checked !skipped !mismatches seed !killed !pipe_cuts !stopped
+    programs !checked !skipped !mismatches seed !killed !link_cuts !stopped
     !deadline_kills !heartbeat_kills !respawned !recovered !master;
   if !mismatches > 0 then 1
-  else if programs > 0 && !killed + !stopped + !pipe_cuts = 0 then begin
+  else if programs > 0 && !killed + !stopped + !link_cuts = 0 then begin
     Printf.eprintf "proc soak: chaos regime injected no process murder\n";
     1
   end

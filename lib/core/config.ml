@@ -20,7 +20,7 @@ type target =
   | Gpu of Runtime.Sim_gpu.options  (** modeled GPU *)
   | Cluster of Runtime.Sim_cluster.config  (** modeled cluster *)
   | Proc_cluster of Runtime.Proc_cluster.config
-      (** real forked worker processes (DESIGN.md §14) *)
+      (** real forked worker processes (DESIGN.md §16) *)
   | Net_cluster of Runtime.Net_cluster.config
       (** TCP-attached worker processes, local or multi-host
           (DESIGN.md §16) *)

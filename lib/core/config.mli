@@ -29,7 +29,7 @@ type target =
   | Gpu of Dmll_runtime.Sim_gpu.options  (** modeled GPU *)
   | Cluster of Dmll_runtime.Sim_cluster.config  (** modeled cluster *)
   | Proc_cluster of Dmll_runtime.Proc_cluster.config
-      (** real forked worker processes (DESIGN.md §14) *)
+      (** real forked worker processes (DESIGN.md §16) *)
   | Net_cluster of Dmll_runtime.Net_cluster.config
       (** TCP-attached worker processes, local or multi-host
           (DESIGN.md §16) *)

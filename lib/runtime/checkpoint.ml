@@ -174,7 +174,7 @@ let restore (t : t) : restore_result =
   | Some s -> ( match verify s with Ok () -> Available s | Error m -> Corrupt m)
 
 (* ------------------------------------------------------------------ *)
-(* Crash-safe snapshot files (DESIGN.md §14)                           *)
+(* Crash-safe snapshot files (DESIGN.md §16)                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Persistence protocol: marshal the snapshot behind a magic header into

@@ -143,7 +143,7 @@ let chunk_fate (t : t) ~(loop : int) ~(chunk : int) ~(attempt : int) : chunk_fat
   else Chunk_ok
 
 (* ------------------------------------------------------------------ *)
-(* Process mode (DESIGN.md §14)                                        *)
+(* Process mode (DESIGN.md §16)                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Seed-derivation rule for process-mode workers: the worker occupying
@@ -161,10 +161,11 @@ let worker_seed (s : spec) ~(worker : int) : int =
     chunk of one multiloop to it.  Drawn once per (loop, chunk) — on the
     first dispatch only, never on recovery re-dispatches, so an injected
     murder cannot chase a chunk around the pool forever.  [Proc_kill]
-    with [close_pipe] severs the parent's pipe end instead of signalling
-    (the worker sees EOF/EPIPE and exits); otherwise it is a real
-    [SIGKILL].  [Proc_stop] SIGSTOPs the worker for [stop_s] seconds —
-    if the task deadline is shorter, the hung-worker path fires first. *)
+    with [close_pipe] severs the master's end of the link instead of
+    signalling (the worker sees EOF and redials or exits); otherwise it
+    is a real [SIGKILL].  [Proc_stop] SIGSTOPs the worker for [stop_s]
+    seconds — if the task deadline is shorter, the hung-worker path
+    fires first. *)
 type proc_fate =
   | Proc_ok
   | Proc_kill of { permanent : bool; close_pipe : bool }

@@ -48,7 +48,7 @@ type chunk_fate =
 val chunk_fate : t -> loop:int -> chunk:int -> attempt:int -> chunk_fate
 
 val worker_seed : spec -> worker:int -> int
-(** Seed-derivation rule for process-mode workers ([Proc_cluster]): the
+(** Seed-derivation rule for process-mode workers ([Net_cluster]): the
     worker occupying slot [k] derives every local random decision
     (backoff jitter) from a SplitMix64 stream seeded with the first
     output of a SplitMix64 generator initialised with
@@ -62,7 +62,7 @@ val worker_seed : spec -> worker:int -> int
     dispatching one chunk to it — drawn once per (loop, chunk) on the
     first dispatch only, never on recovery re-dispatches.  [Proc_kill]
     either SIGKILLs the worker or (with [close_pipe]) severs the
-    parent's pipe end; [Proc_stop] SIGSTOPs it for [stop_s] seconds, and
+    master's end of its link; [Proc_stop] SIGSTOPs it for [stop_s] seconds, and
     a shorter task deadline turns that into a hung-worker kill. *)
 type proc_fate =
   | Proc_ok

@@ -1,14 +1,17 @@
-(** TCP-backed cluster executor with self-healing membership
-    (DESIGN.md §16).
+(** The cluster executor: one supervisor over socket-attached worker
+    processes, local or multi-host (DESIGN.md §16).
 
-    The same chunk-program contract as {!Proc_cluster} — serialized
-    chunk programs out, chunk values back, the plan a pure function of
-    the loop size and the {e configured} worker count — but the links
-    are real TCP connections instead of inherited socketpairs, so
-    workers can live on other hosts: a {!worker_main} client (the
-    [dmll_worker] binary) dials the master, handshakes with a protocol
-    version and session token, and serves chunk programs over the
-    shared length-prefixed CRC32 {!Transport} codec.
+    Serialized chunk programs go out, chunk values come back, and the
+    chunk plan is a pure function of the loop size and the {e
+    configured} worker count.  Workers are {!worker_main} clients: a
+    locally forked child, or the [dmll_worker] binary on another host.
+    A forked child starts on a stream socket the master opened for it
+    before the fork, and keeps the inputs it inherited; a remote worker
+    dials the master and handshakes with a protocol version and session
+    token.  Either way chunk programs travel over the shared
+    length-prefixed CRC32 {!Transport} codec, and a dropped link is
+    redialled through the same handshake.  {!Proc_cluster} is this
+    executor with local workers and no reconnect grace.
 
     Robustness model, layered from the wire up:
     {ul
@@ -30,17 +33,19 @@
        {!Schedule.replan} and a replacement is admitted within the
        respawn budget; past the budget the run degrades, ultimately to
        master-inline evaluation.}
-    {- {b Fault injection}: with faults armed, every outgoing
-       master→worker frame draws a {!Fault.link_fate} — partition,
-       sever, corrupt, delay — delivered for real on the live socket by
-       the {!Transport.conn} wrapper, keyed by the PR 7 slot-seed rule
-       so a reconnected link continues its predecessor's fate stream.}}
+    {- {b Fault injection}: with faults armed, local workers are
+       murdered for real (SIGKILL, SIGSTOP, link cut) and every
+       outgoing master→worker frame draws a {!Fault.link_fate} —
+       partition, sever, corrupt, delay — delivered on the live socket
+       by the {!Transport.conn} wrapper, keyed by slot so a reconnected
+       link continues its predecessor's fate stream.}
+    {- {b Checkpoints}: cadenced spine snapshots, optionally written
+       crash-safe to disk and restored on resume.}}
 
-    Determinism contract: identical to {!Proc_cluster} — a faulty run
-    merges the same chunk partials in the same order as a healthy run
-    (bit-identical values), and healthy-vs-interpreter agreement is
-    bit-identical for exact merges, 1e-6 relative for reassociated
-    float reductions. *)
+    Determinism contract: a faulty run merges the same chunk partials in
+    the same order as a healthy run (bit-identical values), and
+    healthy-vs-interpreter agreement is bit-identical for exact merges,
+    1e-6 relative for reassociated float reductions. *)
 
 open Dmll_ir
 module V = Dmll_interp.Value
@@ -108,17 +113,19 @@ let resend_budget = 3
 type config = {
   workers : int;  (** slots (and the fixed chunk fan-out) *)
   listen : string option;
-      (** [HOST:PORT] to bind; [None] binds loopback on an ephemeral
-          port (pure local mode) *)
+      (** [HOST:PORT] to bind; [None] binds a Unix-domain socket in a
+          fresh owner-only directory when [spawn_local] (pure local
+          mode), else loopback on an ephemeral port *)
   token : string option;
       (** session token required in every hello; [None] generates one *)
   spawn_local : bool;
-      (** fork local worker processes that dial back in; [false] waits
-          for external [dmll_worker] processes to attach *)
+      (** fork local worker processes, each joined from birth on its
+          own link; [false] waits for external [dmll_worker] processes
+          to attach *)
   faults : Fault.t option;
       (** arms worker-side chunk faults, master-side process murder of
-          local workers, {e and} per-frame link faults on every
-          master→worker connection *)
+          local workers (SIGKILL / SIGSTOP / link cut), {e and} per-frame
+          link faults on every master→worker connection *)
   task_deadline_s : float;
       (** a dispatched chunk unanswered for this long marks the link
           hung: retire + replan *)
@@ -137,6 +144,12 @@ type config = {
   worker_redials : int;
       (** reconnect attempts a locally forked worker makes per lost
           link *)
+  checkpoint_cadence : int;  (** snapshot every N spine loops; [<=0] off *)
+  checkpoint_dir : string option;
+      (** where crash-safe snapshot files go ({!Checkpoint.write_file}) *)
+  resume : bool;
+      (** restore spine bindings from the latest verified snapshot in
+          [checkpoint_dir] instead of recomputing them *)
   obs : Span.t option;
   metrics : Metrics.t option;
   on_spawn : (slot:int -> pid:int -> unit) option;
@@ -145,8 +158,9 @@ type config = {
       (** test hook, called right after a task frame is written and
           before its first reply can arrive *)
   on_listen : (addr:string -> unit) option;
-      (** called once with the bound [HOST:PORT] (the ephemeral port in
-          local mode) before any worker is spawned *)
+      (** called once with the bound address ([HOST:PORT], or the
+          socket path in pure local mode) before any worker is
+          spawned *)
 }
 
 let default_config =
@@ -162,6 +176,9 @@ let default_config =
     accept_deadline_s = 2.0;
     max_respawns = 8;
     worker_redials = 2;
+    checkpoint_cadence = 0;
+    checkpoint_dir = None;
+    resume = false;
     obs = None;
     metrics = None;
     on_spawn = None;
@@ -181,7 +198,7 @@ type stats = {
   mutable rejections : int;  (** hellos refused (version/token/slot/grace) *)
   mutable disconnects : int;  (** links lost into a grace window *)
   mutable grace_expired : int;  (** grace windows that ran out *)
-  mutable killed : int;  (** injected murders of local workers *)
+  mutable killed : int;  (** injected murders (SIGKILL or link cut) *)
   mutable link_cuts : int;  (** injected master-side link severs *)
   mutable stopped : int;  (** injected SIGSTOP straggles *)
   mutable deadline_kills : int;
@@ -194,7 +211,9 @@ type stats = {
   mutable worker_retries : int;
   mutable pings : int;
   mutable pongs : int;
-  mutable degraded : bool;
+  mutable checkpoints : int;
+  mutable restored_loops : int;
+  mutable degraded : bool;  (** ran short-handed after budget exhaustion *)
   mutable pids : int list;  (** every local child pid ever forked *)
 }
 
@@ -203,7 +222,8 @@ let fresh_stats () =
     disconnects = 0; grace_expired = 0; killed = 0; link_cuts = 0;
     stopped = 0; deadline_kills = 0; heartbeat_kills = 0; frame_resends = 0;
     io_retries = 0; replans = 0; recovered_chunks = 0; master_chunks = 0;
-    worker_retries = 0; pings = 0; pongs = 0; degraded = false; pids = [];
+    worker_retries = 0; pings = 0; pongs = 0; checkpoints = 0;
+    restored_loops = 0; degraded = false; pids = [];
   }
 
 let stats_to_string (s : stats) : string =
@@ -212,12 +232,12 @@ let stats_to_string (s : stats) : string =
      disconnects=%d grace_expired=%d killed=%d link_cuts=%d stopped=%d \
      deadline_kills=%d heartbeat_kills=%d frame_resends=%d io_retries=%d \
      replans=%d recovered_chunks=%d master_chunks=%d worker_retries=%d \
-     pings=%d pongs=%d degraded=%b"
+     pings=%d pongs=%d checkpoints=%d restored_loops=%d degraded=%b"
     s.spawned s.respawned s.connects s.reconnects s.rejections s.disconnects
     s.grace_expired s.killed s.link_cuts s.stopped s.deadline_kills
     s.heartbeat_kills s.frame_resends s.io_retries s.replans
     s.recovered_chunks s.master_chunks s.worker_retries s.pings s.pongs
-    s.degraded
+    s.checkpoints s.restored_loops s.degraded
 
 type result = {
   value : V.t;
@@ -231,27 +251,32 @@ type result = {
 (* Addresses                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* [HOST:PORT], or an absolute path for the Unix-domain socket of pure
+   local mode *)
 let sockaddr_of_string (addr : string) : Unix.sockaddr =
-  match String.rindex_opt addr ':' with
-  | None -> invalid_arg ("net address must be HOST:PORT: " ^ addr)
-  | Some i ->
-      let host = String.sub addr 0 i in
-      let port =
-        match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1))
-        with
-        | Some p when p >= 0 && p < 65536 -> p
-        | _ -> invalid_arg ("bad port in net address: " ^ addr)
-      in
-      let ip =
-        if host = "" then Unix.inet_addr_loopback
-        else
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (
-            try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-            with Not_found | Invalid_argument _ ->
-              invalid_arg ("unresolvable host in net address: " ^ host))
-      in
-      Unix.ADDR_INET (ip, port)
+  if String.starts_with ~prefix:"/" addr then Unix.ADDR_UNIX addr
+  else
+    match String.rindex_opt addr ':' with
+    | None -> invalid_arg ("net address must be HOST:PORT: " ^ addr)
+    | Some i ->
+        let host = String.sub addr 0 i in
+        let port =
+          match
+            int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1))
+          with
+          | Some p when p >= 0 && p < 65536 -> p
+          | _ -> invalid_arg ("bad port in net address: " ^ addr)
+        in
+        let ip =
+          if host = "" then Unix.inet_addr_loopback
+          else
+            try Unix.inet_addr_of_string host
+            with Failure _ -> (
+              try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+              with Not_found | Invalid_argument _ ->
+                invalid_arg ("unresolvable host in net address: " ^ host))
+        in
+        Unix.ADDR_INET (ip, port)
 
 let string_of_sockaddr = function
   | Unix.ADDR_INET (ip, port) ->
@@ -265,8 +290,8 @@ let set_nodelay fd =
   try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
 (* Bounded retry with exponential backoff on transient I/O errors —
-   resource-pressure failures that clear on their own (shared shape
-   with [Proc_cluster]). *)
+   resource-pressure failures that clear on their own, as opposed to the
+   peer-is-dead errors that surface as [Worker_gone]. *)
 let io_retry_budget = 5
 
 let with_io_retry (stats : stats) (f : unit -> 'a) : 'a =
@@ -284,14 +309,16 @@ let with_io_retry (stats : stats) (f : unit -> 'a) : 'a =
 (* Worker client                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The dialing side: runs in a locally forked child or in a standalone
-   [dmll_worker] process on another host.  Exit codes: 0 = orderly
-   (Shutdown, master gone, redial budget spent after having served),
-   2 = internal error, 3 = injected permanent crash, 4 = never managed
-   to join. *)
+(* The worker side: runs in a locally forked child or in a standalone
+   [dmll_worker] process on another host.  A forked child starts on the
+   link and welcome its master made before the fork ([joined]), so its
+   inputs are the master's own, shared by the fork; everyone else dials
+   in.  Exit codes: 0 = orderly (Shutdown, master gone, redial budget
+   spent after having served), 2 = internal error, 3 = injected permanent
+   crash, 4 = never managed to join. *)
 
-let worker_main ?(redials = 2) ?(dial_attempts = 25) ?(dial_backoff_s = 0.02)
-    ~(addr : string) ~(token : string) () : int =
+let worker_client ?(redials = 2) ?(dial_attempts = 25) ?(dial_backoff_s = 0.02)
+    ?joined ~(addr : string) ~(token : string) () : int =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sa = sockaddr_of_string addr in
   let redials_left = ref redials in
@@ -377,20 +404,23 @@ let worker_main ?(redials = 2) ?(dial_attempts = 25) ?(dial_backoff_s = 0.02)
         | exception _ ->
             close_quiet fd;
             if reconnect = None then 4 else 0
-        | Rejected _ ->
-            (* the master refused us: it has already replanned whatever
-               we held, so this exit is orderly *)
-            close_quiet fd;
-            if reconnect = None then 4 else 0
-        | Accepted { slot; wid; spec; inputs; heartbeat_s = _ } ->
-            let jitter =
-              Prng.create
-                (match spec with
-                | Some s -> Fault.worker_seed s ~worker:slot
-                | None -> slot + 1)
-            in
-            let inj = Option.map Fault.create spec in
-            serve fd ~wid ~jitter ~inj ~inputs)
+        | welcome -> start fd ~first:(reconnect = None) welcome)
+  and start fd ~first (welcome : welcome) : int =
+    match welcome with
+    | Rejected _ ->
+        (* the master refused us: it has already replanned whatever we
+           held, so this exit is orderly *)
+        close_quiet fd;
+        if first then 4 else 0
+    | Accepted { slot; wid; spec; inputs; heartbeat_s = _ } ->
+        let jitter =
+          Prng.create
+            (match spec with
+            | Some s -> Fault.worker_seed s ~worker:slot
+            | None -> slot + 1)
+        in
+        let inj = Option.map Fault.create spec in
+        serve fd ~wid ~jitter ~inj ~inputs
   and serve fd ~wid ~jitter ~inj ~inputs : int =
     let lost () =
       close_quiet fd;
@@ -422,7 +452,12 @@ let worker_main ?(redials = 2) ?(dial_attempts = 25) ?(dial_backoff_s = 0.02)
           (eval_task ~jitter ~inj ~inputs t)
           (fun () -> serve fd ~wid ~jitter ~inj ~inputs)
   in
-  session ~reconnect:None
+  match joined with
+  | Some (fd, welcome) -> start fd ~first:true welcome
+  | None -> session ~reconnect:None
+
+let worker_main ?redials ?dial_attempts ?dial_backoff_s ~addr ~token () =
+  worker_client ?redials ?dial_attempts ?dial_backoff_s ~addr ~token ()
 
 (* ------------------------------------------------------------------ *)
 (* Membership                                                          *)
@@ -459,7 +494,9 @@ type pool = {
   cfg : config;
   token : string;
   listen_fd : Unix.file_descr;
-  addr : string;  (** the bound HOST:PORT workers dial *)
+  addr : string;  (** the bound address workers dial *)
+  sock_dir : string option;
+      (** owner-only directory holding the pure-local-mode socket *)
   inputs : (string * V.t) list;
   metrics : Metrics.t;
   stats : stats;
@@ -467,6 +504,7 @@ type pool = {
   mutable unreaped : int list;
   mutable respawns_left : int;
   mutable next_wid : int;
+  store : Checkpoint.t option;
 }
 
 let find_member (pool : pool) (p : worker -> bool) : worker option =
@@ -523,33 +561,85 @@ let kill_pid (pool : pool) (w : worker) : unit =
       reap_blocking pool pid;
       w.pid <- None
 
-(* Fork a local worker that dials back into the listener.  The child
-   drops the listener and every master-side link first, so its lifetime
-   never holds a peer's EOF detection open. *)
+let welcome_for (pool : pool) (w : worker) : welcome =
+  Accepted
+    { slot = w.slot; wid = w.wid; spec = Option.map Fault.spec pool.cfg.faults;
+      inputs = pool.inputs; heartbeat_s = pool.cfg.heartbeat_s }
+
+let attach (pool : pool) (w : worker) (fd : Unix.file_descr) : unit =
+  let fate =
+    match pool.cfg.faults with
+    | None -> None
+    | Some inj ->
+        Some
+          (fun ~frame:_ ->
+            let k = w.fate_cursor in
+            w.fate_cursor <- k + 1;
+            Fault.link_fate inj ~slot:w.slot ~frame:k)
+  in
+  w.conn <- Some (Transport.attach ?fate fd);
+  w.last_rx <- Unix.gettimeofday ();
+  w.missed <- 0;
+  w.resends_left <- resend_budget
+
+(* Fork a local worker on a link made before the fork: the master keeps
+   one end of a connected stream-socket pair, the child serves on the
+   other with the inputs the fork shared, so a slot's pid and link belong
+   together from birth and a child wedged before its first reply is
+   caught by the liveness gate like any silent worker.  A dropped link
+   is redialled through the listener's handshake.  The child drops the
+   listener and every master-side link first, so its lifetime never
+   holds a peer's EOF detection open.  This is the only fork site of the
+   cluster runtime; a process that has spawned domains cannot fork,
+   which surfaces as rule R-FORK-AFTER-DOMAINS. *)
 let fork_local (pool : pool) (w : worker) : unit =
+  let mine, theirs =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
   let peer_fds =
-    pool.listen_fd
+    mine :: pool.listen_fd
     :: List.filter_map (fun m -> Option.map Transport.conn_fd m.conn)
          (Array.to_list pool.members)
   in
+  w.wid <- pool.next_wid;
+  pool.next_wid <- pool.next_wid + 1;
   flush stdout;
   flush stderr;
   match Unix.fork () with
+  | exception Failure msg ->
+      close_quiet mine;
+      close_quiet theirs;
+      raise
+        (Dmll_analysis.Diag.Failed
+           { stage = "cluster";
+             diags =
+               [ Dmll_analysis.Diag.error ~rule:"R-FORK-AFTER-DOMAINS"
+                   "cannot fork a local worker for slot %d: %s; run \
+                    cluster targets before any Domain is spawned, or \
+                    attach external dmll_worker processes"
+                   w.slot msg ];
+           })
   | 0 ->
       let code =
         try
           List.iter close_quiet peer_fds;
-          worker_main ~redials:pool.cfg.worker_redials ~addr:pool.addr
-            ~token:pool.token ()
+          worker_client ~redials:pool.cfg.worker_redials
+            ~joined:(theirs, welcome_for pool w)
+            ~addr:pool.addr ~token:pool.token ()
         with _ -> 2
       in
       Unix._exit code
   | pid ->
+      close_quiet theirs;
       pool.stats.spawned <- pool.stats.spawned + 1;
       pool.stats.pids <- pid :: pool.stats.pids;
       pool.unreaped <- pid :: pool.unreaped;
       Metrics.incr pool.metrics "net_spawned";
       w.pid <- Some pid;
+      attach pool w mine;
+      pool.stats.connects <- pool.stats.connects + 1;
+      Metrics.incr pool.metrics "net_connects";
+      instant pool "net-connect" ~slot:w.slot;
       (match pool.cfg.on_spawn with Some f -> f ~slot:w.slot ~pid | None -> ())
 
 (* Budgeted replacement admission: in local mode fork a fresh process
@@ -614,37 +704,39 @@ let enter_grace (pool : pool) (w : worker) ~(now : float) : unit =
 
 let welcome_and_attach (pool : pool) (w : worker) (fd : Unix.file_descr) : bool
     =
-  let spec = Option.map Fault.spec pool.cfg.faults in
-  let welcome =
-    Accepted
-      { slot = w.slot; wid = w.wid; spec; inputs = pool.inputs;
-        heartbeat_s = pool.cfg.heartbeat_s }
-  in
   (* the handshake itself is injection-exempt: faults model the data
      plane, and an unjoinable cluster would just test the dial loop *)
-  match Transport.write_frame fd welcome with
+  match Transport.write_frame fd (welcome_for pool w) with
   | exception _ -> false
   | () ->
-      let fate =
-        match pool.cfg.faults with
-        | None -> None
-        | Some inj ->
-            Some
-              (fun ~frame:_ ->
-                let k = w.fate_cursor in
-                w.fate_cursor <- k + 1;
-                Fault.link_fate inj ~slot:w.slot ~frame:k)
-      in
-      w.conn <- Some (Transport.attach ?fate fd);
-      w.last_rx <- Unix.gettimeofday ();
-      w.missed <- 0;
-      w.resends_left <- resend_budget;
+      attach pool w fd;
       true
+
+let max_hello_bytes = 4096
+
+let hello_of_plain : Transport.plain -> hello option = function
+  | Transport.Block (0, [| Int version; Str token; reconnect |]) -> (
+      match reconnect with
+      | Transport.Int 0 -> Some { version; token; reconnect = None }
+      | Transport.Block (0, [| Int wid |]) ->
+          Some { version; token; reconnect = Some wid }
+      | _ -> None)
+  | _ -> None
+
+(* compare every byte, so the time taken does not leak a token prefix *)
+let same_token (a : string) (b : string) : bool =
+  String.length a = String.length b
+  &&
+  let d = ref 0 in
+  String.iteri (fun i c -> d := !d lor (Char.code c lxor Char.code b.[i])) a;
+  !d = 0
 
 (* Accept one pending dial and run its handshake synchronously.
    Returns the (re)joined worker so an in-loop caller can dispatch it.
-   The accepted socket is guarded by [Fun.protect]: every rejection and
-   every handshake error closes it. *)
+   The dialer has not authenticated yet, so its hello is decoded without
+   [Marshal] ({!Transport.read_plain_frame}), capped in size, and must
+   arrive within the accept deadline.  The accepted socket is guarded by
+   [Fun.protect]: every rejection and every handshake error closes it. *)
 let accept_one (pool : pool) : worker option =
   match Unix.accept ~cloexec:true pool.listen_fd with
   | exception
@@ -667,21 +759,27 @@ let accept_one (pool : pool) : worker option =
             try Transport.write_frame fd (Rejected { reason })
             with _ -> ()
           in
-          (match
-             (Transport.read_frame
-                ~deadline:(now +. pool.cfg.accept_deadline_s) fd
-               : hello)
-           with
-          | exception
-              ( Transport.Peer_gone | Transport.Frame_timeout
-              | Transport.Corrupt_frame _ ) ->
-              reject "malformed hello"
-          | h ->
+          let hello =
+            match
+              Transport.read_plain_frame
+                ~deadline:(now +. pool.cfg.accept_deadline_s)
+                ~max_bytes:max_hello_bytes fd
+            with
+            | p -> hello_of_plain p
+            | exception
+                ( Transport.Peer_gone | Transport.Frame_timeout
+                | Transport.Corrupt_frame _ ) ->
+                None
+          in
+          (match hello with
+          | None -> reject "malformed hello"
+          | Some h ->
               if h.version <> protocol_version then
                 reject
                   (Printf.sprintf "protocol version mismatch: got %d, want %d"
                      h.version protocol_version)
-              else if h.token <> pool.token then reject "bad session token"
+              else if not (same_token h.token pool.token) then
+                reject "bad session token"
               else (
                 match h.reconnect with
                 | Some wid -> (
@@ -750,8 +848,9 @@ let drain_accepts (pool : pool) : unit =
   go ()
 
 (* Wait for the initial membership: every slot connected, or the join
-   deadline.  Slots that never joined are retired up front (degraded
-   short-handed start) so the first plan reflects reality. *)
+   deadline.  Local forks are connected from birth; this waits for
+   external dialers.  Slots that never joined are retired up front
+   (degraded short-handed start) so the first plan reflects reality. *)
 let join_gate (pool : pool) : unit =
   let deadline = Unix.gettimeofday () +. pool.cfg.join_deadline_s in
   let waiting () =
@@ -788,8 +887,7 @@ let heartbeat_kill (pool : pool) (w : worker) : unit =
 (* Before planning each distributed loop: resume injected stragglers,
    sweep expired grace windows (nothing is retained between loops, so
    no replan is needed here), let pending dials join, then ping every
-   link and wait out up to three heartbeat rounds — the same gate shape
-   as [Proc_cluster], but over TCP connections. *)
+   link and wait out up to three heartbeat rounds. *)
 let boundary_gate (pool : pool) ~(loop_no : int) : unit =
   let now = Unix.gettimeofday () in
   Array.iter
@@ -1086,7 +1184,9 @@ let run_loop (pool : pool) (env : Evalenv.env) ~(loop_no : int) (l : Exp.loop)
                                 if close_pipe then begin
                                   (* cut the link only: the process
                                      survives and redials — the
-                                     reconnect-and-resume path *)
+                                     reconnect-and-resume path; with
+                                     no grace window the slot is
+                                     retired instead *)
                                   stats.link_cuts <- stats.link_cuts + 1;
                                   Metrics.incr pool.metrics "net_link_cuts";
                                   lose ~grace:true w
@@ -1404,13 +1504,61 @@ let run_loop (pool : pool) (env : Evalenv.env) ~(loop_no : int) (l : Exp.loop)
   end
 
 (* ------------------------------------------------------------------ *)
+(* Spine checkpoints                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let take_checkpoint (pool : pool) ~(loop_no : int) (env : Evalenv.env)
+    (sym : Sym.t option) (v : V.t) : unit =
+  match pool.store with
+  | Some store when Checkpoint.due store ~loop:loop_no ->
+      let name = match sym with Some s -> Sym.to_string s | None -> "result" in
+      let bindings =
+        Sym.Map.fold (fun s bv acc -> (Sym.to_string s, bv) :: acc) env []
+        @ [ (name, v) ]
+      in
+      let snap =
+        Checkpoint.record store ~at_loop:loop_no ~chunks:pool.cfg.workers
+          ~bindings
+          ~driver:[ ("loop_no", V.Vint loop_no) ]
+      in
+      (match pool.cfg.checkpoint_dir with
+      | Some dir -> ignore (Checkpoint.write_file ~dir snap)
+      | None -> ());
+      pool.stats.checkpoints <- pool.stats.checkpoints + 1;
+      Metrics.incr pool.metrics "net_checkpoints";
+      (match pool.cfg.faults with
+      | Some f -> Fault.record_checkpoint f
+      | None -> ())
+  | _ -> ()
+
+let load_resume (cfg : config) : Checkpoint.snapshot option =
+  if not cfg.resume then None
+  else
+    match cfg.checkpoint_dir with
+    | None -> None
+    | Some dir -> (
+        match Checkpoint.latest_file ~dir with
+        | None -> None
+        | Some path -> (
+            match Checkpoint.read_file path with
+            | Checkpoint.Available s -> Some s
+            | Checkpoint.Corrupt _ | Checkpoint.None_taken -> None))
+
+(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let remove_sock_dir (dir : string option) : unit =
+  match dir with
+  | None -> ()
+  | Some d ->
+      (try Sys.remove (Filename.concat d "sock") with Sys_error _ -> ());
+      (try Sys.rmdir d with Sys_error _ -> ())
+
 (* Guaranteed teardown: every link is closed (metrics flushed), the
-   listener is closed, and every local pid ever forked is continued,
-   killed (idempotent), and waitpid'ed.  Runs under [Fun.protect], so
-   it covers the master-error path too. *)
+   listener is closed and its socket file removed, and every local pid
+   ever forked is continued, killed (idempotent), and waitpid'ed.  Runs
+   under [Fun.protect], so it covers the master-error path too. *)
 let shutdown (pool : pool) : unit =
   Array.iter
     (fun w ->
@@ -1423,6 +1571,7 @@ let shutdown (pool : pool) : unit =
       | None -> ())
     pool.members;
   close_quiet pool.listen_fd;
+  remove_sock_dir pool.sock_dir;
   List.iter
     (fun pid ->
       signal_quiet pid Sys.sigcont;
@@ -1430,11 +1579,21 @@ let shutdown (pool : pool) : unit =
       reap_blocking pool pid)
     pool.unreaped
 
-let make_listener (cfg : config) : Unix.file_descr * string =
-  let sa =
+(* Pure local mode listens on a Unix-domain socket inside a fresh
+   owner-only directory, so no other user can reach the handshake; the
+   directory moves to /tmp when the temp root would overflow a socket
+   path. *)
+let make_listener (cfg : config) :
+    Unix.file_descr * string * string option =
+  let sa, dir =
     match cfg.listen with
-    | None -> Unix.ADDR_INET (Unix.inet_addr_loopback, 0)
-    | Some s -> sockaddr_of_string s
+    | Some s -> (sockaddr_of_string s, None)
+    | None when cfg.spawn_local ->
+        let root = Filename.get_temp_dir_name () in
+        let temp_dir = if String.length root > 64 then "/tmp" else root in
+        let dir = Filename.temp_dir ~temp_dir ~perms:0o700 "dmll-cluster" "" in
+        (Unix.ADDR_UNIX (Filename.concat dir "sock"), Some dir)
+    | None -> (Unix.ADDR_INET (Unix.inet_addr_loopback, 0), None)
   in
   let fd =
     Unix.socket ~cloexec:true (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0
@@ -1444,14 +1603,29 @@ let make_listener (cfg : config) : Unix.file_descr * string =
     Unix.bind fd sa;
     Unix.listen fd 64
   with
-  | () -> (fd, string_of_sockaddr (Unix.getsockname fd))
+  | () -> (fd, string_of_sockaddr (Unix.getsockname fd), dir)
   | exception e ->
       close_quiet fd;
+      remove_sock_dir dir;
       raise e
 
+(* 128 bits from the kernel's random source, read unbuffered: a
+   buffered channel would drain 64 KiB of it per run *)
 let gen_token () =
-  Printf.sprintf "dmll-%d-%06x" (Unix.getpid ())
-    (int_of_float (Unix.gettimeofday () *. 1e6) land 0xFFFFFF)
+  let b = Bytes.create 16 in
+  let from_kernel =
+    match Unix.openfile "/dev/urandom" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+    | fd ->
+        Fun.protect
+          ~finally:(fun () -> close_quiet fd)
+          (fun () -> try Unix.read fd b 0 16 = 16 with Unix.Unix_error _ -> false)
+    | exception Unix.Unix_error _ -> false
+  in
+  if not from_kernel then begin
+    let st = Random.State.make_self_init () in
+    Bytes.iteri (fun i _ -> Bytes.set b i (Char.chr (Random.State.int st 256))) b
+  end;
+  "dmll-" ^ Digest.to_hex (Bytes.to_string b)
 
 let run ?(config = default_config) ?(inputs = []) (program : Exp.exp) : result
     =
@@ -1461,13 +1635,17 @@ let run ?(config = default_config) ?(inputs = []) (program : Exp.exp) : result
   in
   let stats = fresh_stats () in
   let token = match cfg.token with Some t -> t | None -> gen_token () in
-  let listen_fd, addr = make_listener cfg in
+  let listen_fd, addr, sock_dir = make_listener cfg in
   let pool =
-    { cfg; token; listen_fd; addr; inputs; metrics; stats;
+    { cfg; token; listen_fd; addr; sock_dir; inputs; metrics; stats;
       members = Array.init cfg.workers fresh_worker;
       unreaped = [];
       respawns_left = cfg.max_respawns;
       next_wid = 1;
+      store =
+        (if cfg.checkpoint_cadence > 0 then
+           Some (Checkpoint.create ~cadence:cfg.checkpoint_cadence)
+         else None);
     }
   in
   let saved_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
@@ -1481,6 +1659,7 @@ let run ?(config = default_config) ?(inputs = []) (program : Exp.exp) : result
       (match cfg.on_listen with Some f -> f ~addr | None -> ());
       if cfg.spawn_local then Array.iter (fork_local pool) pool.members;
       join_gate pool;
+      let restored = load_resume cfg in
       let loop_no = ref 0 in
       let value =
         Spine.exec ~inputs
@@ -1489,17 +1668,36 @@ let run ?(config = default_config) ?(inputs = []) (program : Exp.exp) : result
             let name =
               match sym with Some s -> Sym.to_string s | None -> "result"
             in
-            let v, dt =
-              Dmll_util.Timing.time (fun () ->
-                  Span.with_span ?tracer:cfg.obs ~tid:Span.runtime_tid
-                    ~cat:"runtime"
-                    ~args:[ ("loop", Span.Int !loop_no) ]
-                    name
-                    (fun () -> run_loop pool env ~loop_no:!loop_no l))
+            let restored_v =
+              match restored with
+              | Some snap when !loop_no <= snap.Checkpoint.at_loop ->
+                  Option.map
+                    (fun (e : Checkpoint.entry) ->
+                      Checkpoint.copy_value e.Checkpoint.value)
+                    (List.assoc_opt name snap.Checkpoint.bindings)
+              | _ -> None
             in
-            breakdown := (name, dt) :: !breakdown;
-            Metrics.incr metrics "net_loops";
-            v)
+            match restored_v with
+            | Some v ->
+                stats.restored_loops <- stats.restored_loops + 1;
+                Metrics.incr metrics "net_restored_loops";
+                (match cfg.faults with
+                | Some f -> Fault.record_restore f
+                | None -> ());
+                v
+            | None ->
+                let v, dt =
+                  Dmll_util.Timing.time (fun () ->
+                      Span.with_span ?tracer:cfg.obs ~tid:Span.runtime_tid
+                        ~cat:"runtime"
+                        ~args:[ ("loop", Span.Int !loop_no) ]
+                        name
+                        (fun () -> run_loop pool env ~loop_no:!loop_no l))
+                in
+                breakdown := (name, dt) :: !breakdown;
+                Metrics.incr metrics "net_loops";
+                take_checkpoint pool ~loop_no:!loop_no env sym v;
+                v)
           program
       in
       { value;

@@ -1,8 +1,9 @@
-(** The shared wire codec of the real-process executors (DESIGN.md §16):
-    length-prefixed, CRC32-checksummed [Marshal] frames, used identically
-    by the socketpair pipes of {!Proc_cluster} and the TCP links of
-    {!Net_cluster}, so both paths share one framing implementation and
-    one set of torn/short-read/corruption tests.
+(** The wire codec of the cluster executor (DESIGN.md §16):
+    length-prefixed, CRC32-checksummed [Marshal] frames over the
+    stream-socket links of {!Net_cluster} — local process workers and
+    remote workers alike — with one set of torn/short-read/corruption
+    tests.  Hellos from peers that have not authenticated are read by
+    {!read_plain_frame}, which never calls [Marshal].
 
     A frame is a 12-byte header — payload length as a big-endian 64-bit
     integer, then the payload's CRC32 (IEEE 802.3 polynomial) as a
@@ -14,7 +15,7 @@
 
     On top of the fd-level codec sits {!conn}: a counted connection
     wrapper (frames and bytes in both directions, for the per-link
-    metrics the supervisors publish) whose send path can host a
+    metrics the supervisor publishes) whose send path can host a
     deterministic fault injector ({!Fault.link_fate}) — delaying,
     corrupting, severing mid-frame, or blackholing ("partitioning") real
     frames on a real socket, keyed by (slot, frame number) so every
@@ -149,6 +150,96 @@ let read_frame_sized ?deadline fd : 'a * int =
       corrupt "frame payload unmarshallable despite a valid CRC (%d bytes)" n
 
 let read_frame ?deadline fd : 'a = fst (read_frame_sized ?deadline fd)
+
+(* ------------------------------------------------------------------ *)
+(* Frames from peers that have not authenticated yet                    *)
+(* ------------------------------------------------------------------ *)
+
+type plain = Int of int | Str of string | Block of int * plain array
+
+(* A bounds-checked reader for the subset of the [Marshal] format that
+   immutable ints, strings and small blocks produce (runtime/caml/intext.h
+   codes).  It builds [plain] values itself, so crafted bytes never reach
+   the runtime's unmarshaller: shared references, floats, custom blocks,
+   code pointers and oversized blocks are all rejected. *)
+let decode_plain (b : bytes) : plain option =
+  let n = Bytes.length b in
+  let exception Bad in
+  let pos = ref 0 in
+  let need k = if !pos + k > n then raise Bad in
+  let u8 () =
+    need 1;
+    let v = Bytes.get_uint8 b !pos in
+    incr pos;
+    v
+  in
+  let take k get =
+    need k;
+    let v = get b !pos in
+    pos := !pos + k;
+    v
+  in
+  let str len =
+    if len < 0 then raise Bad;
+    need len;
+    let s = Bytes.sub_string b !pos len in
+    pos := !pos + len;
+    Str s
+  in
+  let rec value () =
+    let c = u8 () in
+    if c >= 0x80 then block (c land 0xF) ((c lsr 4) land 0x7)
+    else if c >= 0x40 then Int (c land 0x3F)
+    else if c >= 0x20 then str (c land 0x1F)
+    else
+      match c with
+      | 0x00 -> Int (take 1 Bytes.get_int8)
+      | 0x01 -> Int (take 2 Bytes.get_int16_be)
+      | 0x02 -> Int (Int32.to_int (take 4 Bytes.get_int32_be))
+      | 0x03 -> Int (Int64.to_int (take 8 Bytes.get_int64_be))
+      | 0x08 ->
+          let hd = Int32.to_int (take 4 Bytes.get_int32_be) land 0xFFFFFFFF in
+          let tag = hd land 0xFF and size = hd lsr 10 in
+          if tag >= 251 || size > 64 then raise Bad;
+          block tag size
+      | 0x09 -> str (u8 ())
+      | 0x0A -> str (Int32.to_int (take 4 Bytes.get_int32_be) land 0xFFFFFFFF)
+      | _ -> raise Bad
+  and block tag size =
+    let fields = Array.make size (Int 0) in
+    for i = 0 to size - 1 do
+      fields.(i) <- value ()
+    done;
+    Block (tag, fields)
+  in
+  match
+    if take 4 Bytes.get_int32_be <> 0x8495A6BEl then raise Bad;
+    let data_len = Int32.to_int (take 4 Bytes.get_int32_be) in
+    if n < 20 || data_len <> n - 20 then raise Bad;
+    pos := 20;
+    let v = value () in
+    if !pos <> n then raise Bad;
+    v
+  with
+  | v -> Some v
+  | exception Bad -> None
+
+let read_plain_frame ?deadline ~(max_bytes : int) fd : plain =
+  let hdr = Bytes.create header_bytes in
+  read_exact ?deadline fd hdr 0 header_bytes;
+  let n = Int64.to_int (Bytes.get_int64_be hdr 0) in
+  if n <= 0 || n > max_bytes then
+    corrupt "untrusted frame length %d outside (0, %d]" n max_bytes;
+  let expect = Int32.to_int (Bytes.get_int32_be hdr 8) land 0xFFFFFFFF in
+  let payload = Bytes.create n in
+  read_exact ?deadline fd payload 0 n;
+  let got = crc32 payload in
+  if got <> expect then
+    corrupt "frame CRC mismatch: header %08x, payload %08x over %d bytes"
+      expect got n;
+  match decode_plain payload with
+  | Some v -> v
+  | None -> corrupt "untrusted frame is not plain data (%d bytes)" n
 
 (* ------------------------------------------------------------------ *)
 (* Counted connections with deterministic link-fault injection          *)

@@ -1,7 +1,7 @@
-(** Shared wire codec of the real-process executors (DESIGN.md §16):
+(** Wire codec of the cluster executor (DESIGN.md §16):
     length-prefixed, CRC32-checksummed [Marshal] frames over a file
-    descriptor, used identically by {!Proc_cluster}'s socketpair pipes
-    and {!Net_cluster}'s TCP links.
+    descriptor, carried by {!Net_cluster}'s stream-socket links to local
+    process workers and remote workers alike.
 
     Frame layout: an 8-byte big-endian payload length, a 4-byte
     big-endian CRC32 (IEEE 802.3) of the payload, then the marshalled
@@ -27,7 +27,8 @@ val header_bytes : int
 val crc32 : bytes -> int
 (** IEEE 802.3 CRC32 of a buffer, in [0, 2{^32}). *)
 
-(** {1 Fd-level codec} — the pipe path ({!Proc_cluster}). *)
+(** {1 Fd-level codec} — handshake and shutdown frames, which bypass the
+    fault injector. *)
 
 val write_frame : Unix.file_descr -> 'a -> unit
 (** Marshal and frame one message.  Raises {!Peer_gone} when the peer
@@ -35,12 +36,31 @@ val write_frame : Unix.file_descr -> 'a -> unit
 
 val read_frame : ?deadline:float -> Unix.file_descr -> 'a
 (** Read one frame, optionally bounded by an absolute deadline.
-    Raises {!Peer_gone}, {!Frame_timeout}, or {!Corrupt_frame}. *)
+    Raises {!Peer_gone}, {!Frame_timeout}, or {!Corrupt_frame}.  The
+    payload goes through [Marshal], which is not memory-safe on crafted
+    bytes: use it only on links whose peer has authenticated. *)
 
-(** {1 Counted connections} — the TCP path ({!Net_cluster}).
+(** {1 Frames from unauthenticated peers} *)
+
+(** Immutable data as [Marshal] encodes it: ints, strings, and blocks
+    of at most 64 fields (records, variants, options, tuples). *)
+type plain = Int of int | Str of string | Block of int * plain array
+
+val decode_plain : bytes -> plain option
+(** Decode a [Marshal] payload of plain data with a bounds-checked
+    reader that never calls [Marshal]: [None] for anything else —
+    floats, shared references, custom blocks, trailing bytes. *)
+
+val read_plain_frame :
+  ?deadline:float -> max_bytes:int -> Unix.file_descr -> plain
+(** Read one frame of at most [max_bytes] payload bytes from a peer
+    that has not authenticated yet, decoded by {!decode_plain}.  Raises
+    {!Peer_gone}, {!Frame_timeout}, or {!Corrupt_frame}. *)
+
+(** {1 Counted connections} — every supervised link ({!Net_cluster}).
 
     A {!conn} counts frames and bytes in both directions (feeding the
-    per-link metrics the supervisors publish) and can host a
+    per-link metrics the supervisor publishes) and can host a
     deterministic link-fault injector on its send path: every outgoing
     frame draws a {!Fault.link_fate} and the wrapper delivers it for
     real — delaying, corrupting, severing mid-frame, or blackholing
