@@ -30,7 +30,7 @@ let experiments : (string * string * (unit -> unit)) list =
       fun () -> Proc_validate.run ());
     ("net_validate", "TCP-executor recovery overhead vs network-fault rate (JSON)",
       fun () -> Net_validate.run ());
-    ("plan_validate", "ILP vs greedy plan selection, predicted and measured (JSON)",
+    ("plan_validate", "cluster plan traffic, predicted and measured vs pinned (JSON)",
       fun () -> Plan_validate.run ());
     ("jit_validate", "kernel cache cold vs warm on the native backend (JSON)",
       fun () -> Jit_validate.run ());

@@ -1,22 +1,20 @@
-(* ILP-vs-greedy cross-validation of the global plan selection
-   (DESIGN.md §15).
+(* Cluster plan-selection gate (DESIGN.md §15).
 
    For kmeans, pagerank, and TPC-H Q1 at 1/4/16 cluster nodes: compile
-   the same program twice — once under [Config.plan_selector = Ilp]
-   (the default) and once under [Greedy] — then compare both the static
-   predicted volumes and the traffic the cluster simulator actually
-   charges.  The sweep hard-fails when the ILP plan moves more measured
-   bytes than the greedy plan (the selector's final guard promises it
-   never does), or when either plan's value diverges from the
-   sequential reference.  C-COMM-OVERRUN is armed inline, so each
+   each program for the simulated cluster (the greedy cost-guided
+   selector: communication-vetoed fusion, then the partitioning
+   analysis), run it, and compare the static predicted volume with the
+   traffic the cluster simulator actually charges.  The sweep hard-fails
+   when a value diverges from the sequential reference, or when the
+   measured bytes exceed the pinned ceiling — the traffic the retired
+   ILP selector's plans measured on the same sweep, so deleting it can
+   never have cost bytes.  C-COMM-OVERRUN is armed inline, so each
    plan's own static comm contract is enforced while it runs.
 
    Emits one JSON line per (app, nodes) — mirrored into BENCH_plan.json:
 
-     {"app":"kmeans","nodes":4,"provenance":"ilp",
-      "predicted_ilp_bytes":...,"predicted_greedy_bytes":...,
-      "measured_ilp_bytes":...,"measured_greedy_bytes":...,
-      "value_ok":true}
+     {"app":"kmeans","nodes":4,"predicted_bytes":...,
+      "measured_bytes":...,"value_ok":true}
 *)
 
 module R = Dmll_runtime
@@ -25,7 +23,12 @@ module V = Dmll_interp.Value
 module Comm = Dmll_analysis.Comm
 module Partition = Dmll_analysis.Partition
 
-let node_counts = [ 1; 4; 16 ]
+(* (nodes, measured-bytes ceiling) per app. *)
+let ceilings =
+  [ ("kmeans", [ (1, 0.); (4, 34368.); (16, 132672.) ]);
+    ("pagerank", [ (1, 0.); (4, 601944.); (16, 601944.) ]);
+    ("tpch_q1", [ (1, 0.); (4, 98304.); (16, 393216.) ]);
+  ]
 
 let apps () =
   let q1 = Lazy.force Datasets.q1_table in
@@ -53,33 +56,23 @@ let input_lens_of (inputs : (string * V.t) list) : (string * int) list =
 let traffic_sum (r : Dmll.run_result) : float =
   List.fold_left (fun acc (_, b) -> acc +. b) 0.0 r.Dmll.traffic
 
-(* Compile + run one plan-selector leg; returns (predicted, measured,
-   value, provenance of the last recorded decision). *)
-let leg selector ~machine ~input_lens program inputs =
+(* Compile + run on the simulated cluster; returns (predicted, measured,
+   value). *)
+let run_on ~machine ~input_lens program inputs =
   let config = { R.Sim_cluster.default_config with cluster = machine } in
-  let cfg =
-    Dmll.Config.(
-      default
-      |> with_target (Dmll.Cluster config)
-      |> with_plan_selector selector)
-  in
+  let cfg = Dmll.Config.(default |> with_target (Dmll.Cluster config)) in
   let c = Dmll.compile_with cfg program in
   let predicted =
     Partition.predicted_volume ~input_lens ~machine c.Dmll.final
   in
   let r = Dmll.execute cfg c ~inputs in
-  let provenance =
-    match List.rev c.Dmll.partition.Partition.decisions with
-    | d :: _ -> d.Partition.provenance
-    | [] -> "greedy"
-  in
-  (predicted, traffic_sum r, r.Dmll.value, provenance)
+  (predicted, traffic_sum r, r.Dmll.value)
 
 let run () =
   Printf.printf
-    "Global plan selection: ILP vs greedy, predicted and measured\n\
-     (contract: the ILP-selected plan's measured simulator traffic is\n\
-     \ <= the greedy plan's; C-COMM-OVERRUN armed while the sweep runs).\n\n";
+    "Cluster plan selection: predicted and measured traffic\n\
+     (contract: measured simulator traffic <= the pinned ceiling;\n\
+     \ C-COMM-OVERRUN armed while the sweep runs).\n\n";
   let out = open_out "BENCH_plan.json" in
   let saved = !Comm.validate_enabled in
   Comm.validate_enabled := true;
@@ -98,22 +91,18 @@ let run () =
           in
           let input_lens = input_lens_of inputs in
           List.iter
-            (fun n ->
+            (fun (n, ceiling) ->
               let machine = M.with_nodes n M.ec2_cluster in
-              let p_ilp, m_ilp, v_ilp, provenance =
-                leg Dmll.Config.Ilp ~machine ~input_lens program inputs
+              let predicted, measured, v =
+                run_on ~machine ~input_lens program inputs
               in
-              let p_greedy, m_greedy, v_greedy, _ =
-                leg Dmll.Config.Greedy ~machine ~input_lens program inputs
-              in
-              let value_ok v =
+              let ok =
                 V.equal v reference || V.approx_equal ~eps:1e-6 reference v
               in
-              let ok = value_ok v_ilp && value_ok v_greedy in
               let line =
                 Printf.sprintf
-                  "{\"app\":%S,\"nodes\":%d,\"provenance\":%S,\"predicted_ilp_bytes\":%.0f,\"predicted_greedy_bytes\":%.0f,\"measured_ilp_bytes\":%.0f,\"measured_greedy_bytes\":%.0f,\"value_ok\":%b}"
-                  name n provenance p_ilp p_greedy m_ilp m_greedy ok
+                  "{\"app\":%S,\"nodes\":%d,\"predicted_bytes\":%.0f,\"measured_bytes\":%.0f,\"value_ok\":%b}"
+                  name n predicted measured ok
               in
               Printf.printf "%s\n%!" line;
               output_string out (line ^ "\n");
@@ -122,12 +111,11 @@ let run () =
                   name n;
                 exit 1
               end;
-              if m_ilp > m_greedy then begin
+              if measured > ceiling then begin
                 Printf.eprintf
-                  "plan_validate: %s@%d nodes: ILP plan measured %.0fB > \
-                   greedy %.0fB\n"
-                  name n m_ilp m_greedy;
+                  "plan_validate: %s@%d nodes: measured %.0fB > pinned %.0fB\n"
+                  name n measured ceiling;
                 exit 1
               end)
-            node_counts)
+            (List.assoc name ceilings))
         (apps ()))

@@ -81,7 +81,7 @@ let nodes_arg =
     & info [ "nodes" ] ~docv:"N"
         ~doc:
           "Cluster size in nodes: sizes the cluster target's machine \
-           model, and the comm-volume predictions of --explain-comm \
+           model, and the comm-volume predictions of --explain comm \
            (default: the paper's 20-node EC2 preset).")
 
 let faults_arg =

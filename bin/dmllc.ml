@@ -5,14 +5,13 @@
    1/4/5): source IR, optimized IR, partitioning layouts and stencils,
    applied rules, and (optionally) generated C++/CUDA/Scala.
 
-   --explain-comm adds the static communication-volume analysis
+   --explain comm adds the static communication-volume analysis
    (DESIGN.md §10): per-loop comm plans, per-collection totals, and the
    cost-guided rewrite decisions with every rejected alternative. *)
 
 module Comm = Dmll_analysis.Comm
 module Mem = Dmll_analysis.Mem
 module Partition = Dmll_analysis.Partition
-module Plan = Dmll_analysis.Plan
 module M = Dmll_machine.Machine
 
 (* Each app registers its builder plus the element counts of its named
@@ -30,7 +29,7 @@ let apps : (string * (unit -> Dmll_ir.Exp.exp) * (string * int) list) list =
     ( "kmeans_iter",
       (* three unrolled Lloyd iterations: each intermediate centroid set
          dies as soon as the next one is computed — the early-free
-         showcase (--explain-mem shows the peak with and without it) *)
+         showcase (--explain mem shows the peak with and without it) *)
       (fun () ->
         Dmll_apps.Kmeans.program_iterated ~rows:1000 ~cols:16 ~k:8 ~iters:4 ()),
       [ ("matrix", 16000); ("clusters", 128) ] );
@@ -104,8 +103,7 @@ let explain_arg =
     & opt
         (some
            (enum
-              [ ("comm", `Comm); ("mem", `Mem); ("plan", `Plan);
-                ("backends", `Backends) ]))
+              [ ("comm", `Comm); ("mem", `Mem); ("backends", `Backends) ]))
         None
     & info [ "explain" ] ~docv:"WHAT"
         ~doc:
@@ -116,32 +114,11 @@ let explain_arg =
            per-collection totals.  $(b,mem): the static memory-footprint & \
            liveness analysis (DESIGN.md §13) — liveness windows, resident \
            sets, the symbolic peak with and without early-free, and the \
-           admission decision.  $(b,plan): the global plan-space analysis \
-           (DESIGN.md §15) — joint rewrite/fusion/partition configurations, \
-           ILP solver statistics, and the chosen plan vs the greedy \
-           baseline.  $(b,backends): the backend registry (DESIGN.md §17) — \
-           every registered execution backend with its capabilities (no APP \
-           needed).  With APP = $(b,all), explains every registered \
-           application.  Composes with $(b,--json) and $(b,--nodes).")
-
-(* Historical spellings, kept as deprecated aliases of --explain. *)
-let explain_comm =
-  Arg.(
-    value & flag
-    & info [ "explain-comm" ] ~deprecated:"use --explain comm"
-        ~doc:"Alias of $(b,--explain comm).")
-
-let explain_plan =
-  Arg.(
-    value & flag
-    & info [ "explain-plan" ] ~deprecated:"use --explain plan"
-        ~doc:"Alias of $(b,--explain plan).")
-
-let explain_mem =
-  Arg.(
-    value & flag
-    & info [ "explain-mem" ] ~deprecated:"use --explain mem"
-        ~doc:"Alias of $(b,--explain mem).")
+           admission decision.  $(b,backends): the backend registry \
+           (DESIGN.md §17) — every registered execution backend with its \
+           capabilities (no APP needed).  With APP = $(b,all), explains \
+           every registered application.  Composes with $(b,--json) and \
+           $(b,--nodes).")
 
 let json =
   Arg.(
@@ -194,7 +171,7 @@ let run_lint cfg app =
   in
   if any_error then exit 1
 
-(* ---------------- --explain-comm ---------------- *)
+(* ---------------- --explain comm ---------------- *)
 
 (* Run the cost-guided partitioning analysis on the generically optimized
    program — crucially WITHOUT the CPU nested rules, so the Figure-3
@@ -240,36 +217,9 @@ let run_explain ~json ~nodes app =
   let machine = Common_cli.cluster_machine ?nodes () in
   List.iter (explain_one ~json ~machine) (select_apps ~flag:true app)
 
-(* ---------------- --explain-plan ---------------- *)
+(* ---------------- --explain mem ---------------- *)
 
-(* Generic optimization with horizontal fusion deferred, so the plan
-   analysis owns the fusion decision jointly with the Figure-3 rewrites
-   and partition-layout demotions — the same compilation split the
-   cluster driver uses under [Config.plan_selector = Ilp]. *)
-let explain_plan_one ~json:as_json ~machine (name, build, input_lens) =
-  let source = build () in
-  let generic =
-    (Dmll_opt.Pipeline.optimize_with ~extra_rules:[] ~horizontal_fusion:false
-       source)
-      .Dmll_opt.Pipeline.program
-  in
-  let r =
-    Plan.analyze ~transforms:Dmll_opt.Rules_nested.cpu_rules ~machine
-      ~input_lens generic
-  in
-  if as_json then print_endline (Plan.explain_to_json ~app:name r.Plan.explain)
-  else begin
-    header (Printf.sprintf "plan: %s (%d nodes)" name machine.M.nodes);
-    Fmt.pr "%a" Plan.pp_explain r.Plan.explain
-  end
-
-let run_explain_plan ~json ~nodes app =
-  let machine = Common_cli.cluster_machine ?nodes () in
-  List.iter (explain_plan_one ~json ~machine) (select_apps ~flag:true app)
-
-(* ---------------- --explain-mem ---------------- *)
-
-(* Same compilation path as --explain-comm (generic optimize without the
+(* Same compilation path as --explain comm (generic optimize without the
    CPU nested rules, then the cost-guided partitioning analysis), plus
    the early-free pass — the summary shows the peak both with and
    without it, so the liveness payoff is visible per app. *)
@@ -321,16 +271,7 @@ let run_explain_backends ~json =
     print_string (Dmll_backend.Registry.describe_table ())
   end
 
-let main app show_src emit gpu lint explain explain_comm explain_plan
-    explain_mem json nodes debug trace profile =
-  let explain =
-    match explain with
-    | Some _ -> explain
-    | None when explain_comm -> Some `Comm
-    | None when explain_plan -> Some `Plan
-    | None when explain_mem -> Some `Mem
-    | None -> None
-  in
+let main app show_src emit gpu lint explain json nodes debug trace profile =
   let require_app () =
     match app with
     | Some a -> a
@@ -350,7 +291,6 @@ let main app show_src emit gpu lint explain explain_comm explain_plan
   match explain with
   | Some `Backends -> run_explain_backends ~json
   | Some `Comm -> run_explain ~json ~nodes (require_app ())
-  | Some `Plan -> run_explain_plan ~json ~nodes (require_app ())
   | Some `Mem -> run_explain_mem ~json ~nodes (require_app ())
   | None ->
   if lint then run_lint cfg (require_app ())
@@ -405,7 +345,7 @@ let cmd =
     (Cmd.info "dmllc" ~doc)
     Term.(
       const main $ app_arg $ show_source $ show_codegen $ gpu $ lint
-      $ explain_arg $ explain_comm $ explain_plan $ explain_mem $ json
+      $ explain_arg $ json
       $ Common_cli.nodes_arg $ Common_cli.debug_arg $ Common_cli.trace_arg
       $ Common_cli.profile_arg)
 

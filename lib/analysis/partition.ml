@@ -55,10 +55,6 @@ type decision = {
   chosen : string;  (** winning rule name, or ["keep"] *)
   candidates : (string * float) list;
       (** every alternative considered, with predicted total bytes *)
-  provenance : string;
-      (** which selector produced the decision: ["greedy"] for this
-          linear search, ["ilp"] / ["ilp-fallback:greedy"] /
-          ["ilp-tie:greedy"] for the global plan selector ({!Plan}) *)
 }
 
 type report = {
@@ -186,8 +182,7 @@ let bad_accesses (e : exp) (layouts : (Stencil.target * layout) list) :
 (** Predicted total communication volume of [e] under its own propagated
     layouts — the objective the rewrite search minimizes.  Also the
     tie-break objective the driver threads into horizontal fusion for
-    cluster targets ({!Dmll_opt.Fusion.horizontal_with}) and the cost
-    the global plan selector ({!Plan}) minimizes. *)
+    cluster targets ({!Dmll_opt.Fusion.horizontal_with}). *)
 let predicted_volume ?input_lens ?(machine = Dmll_machine.Machine.ec2_cluster)
     (e : exp) : float =
   let layouts, _ = propagate e in
@@ -207,30 +202,6 @@ let dedup_warnings (ws : warning list) : warning list =
   List.fold_left
     (fun acc w -> if List.exists (warning_equal w) acc then acc else acc @ [ w ])
     [] ws
-
-(** Assemble a {!report} for a finished plan: propagate layouts on the
-    final [program], convert the remaining non-local-friendly accesses
-    into {!Remote_access} warnings, and attach the rewrite/decision
-    history.  Shared by the greedy search below and by the global plan
-    selector ({!Plan}), so both selectors produce reports with identical
-    shape. *)
-let finalize ~(rewrites_applied : string list) ~(decisions : decision list)
-    (program : exp) : report =
-  let layouts, warnings = propagate program in
-  let bad = bad_accesses program layouts in
-  let warnings =
-    dedup_warnings
-      (warnings @ List.map (fun (t, s) -> Remote_access (t, s)) bad)
-  in
-  let is_partitioned t = layout_of t layouts = Partitioned in
-  { program;
-    layouts;
-    stencils = Stencil.global program;
-    co_partitioned = Stencil.co_partition_pairs program ~is_partitioned;
-    warnings;
-    rewrites_applied;
-    decisions;
-  }
 
 (** Run the full analysis.  [transforms] defaults to the CPU set of
     Figure-3 rules; [reoptimize] is applied after any accepted rewrite so
@@ -330,13 +301,7 @@ let analyze ?tracer ?(transforms = Dmll_opt.Rules_nested.cpu_rules)
           ("keep", v_keep) :: List.map (fun (n, _, v) -> (n, v)) applicable
         in
         if best_v < v_keep then begin
-          let d =
-            { iteration = iters;
-              chosen = best_name;
-              candidates;
-              provenance = "greedy";
-            }
-          in
+          let d = { iteration = iters; chosen = best_name; candidates } in
           decisions := !decisions @ [ d ];
           trace_decision d;
           rewrites := !rewrites @ [ best_name ];
@@ -346,13 +311,7 @@ let analyze ?tracer ?(transforms = Dmll_opt.Rules_nested.cpu_rules)
           (* every rewrite moves at least as much data as the remote
              reads it removes: keep the program, fall back to the
              runtime's remote fetches *)
-          let d =
-            { iteration = iters;
-              chosen = "keep";
-              candidates;
-              provenance = "greedy";
-            }
-          in
+          let d = { iteration = iters; chosen = "keep"; candidates } in
           decisions := !decisions @ [ d ];
           trace_decision d;
           ignore best_e;
@@ -360,20 +319,32 @@ let analyze ?tracer ?(transforms = Dmll_opt.Rules_nested.cpu_rules)
         end
       end
   in
-  let program, _layouts, _warnings, _bad = fix e 0 in
-  finalize ~rewrites_applied:!rewrites ~decisions:!decisions program
+  let program, layouts, warnings, bad = fix e 0 in
+  let warnings =
+    dedup_warnings
+      (warnings @ List.map (fun (t, s) -> Remote_access (t, s)) bad)
+  in
+  let is_partitioned t = layout_of t layouts = Partitioned in
+  { program;
+    layouts;
+    stencils = Stencil.global program;
+    co_partitioned = Stencil.co_partition_pairs program ~is_partitioned;
+    warnings;
+    rewrites_applied = !rewrites;
+    decisions = !decisions;
+  }
 
 (** All of a report's warnings as structured diagnostics. *)
 let diags (r : report) : Diag.t list = List.map warning_to_diag r.warnings
 
-(** The decision log in the machine-readable schema [dmllc --explain-comm
+(** The decision log in the machine-readable schema [dmllc --explain comm
     --json] emits (field names/types are golden-tested — downstream
     tooling relies on them). *)
 let decisions_to_json (ds : decision list) : string =
   let one (d : decision) =
     Printf.sprintf
-      "{\"iteration\":%d,\"chosen\":\"%s\",\"provenance\":\"%s\",\"candidates\":[%s]}"
-      d.iteration d.chosen d.provenance
+      "{\"iteration\":%d,\"chosen\":\"%s\",\"candidates\":[%s]}"
+      d.iteration d.chosen
       (String.concat ","
          (List.map
             (fun (n, v) -> Printf.sprintf "{\"rule\":\"%s\",\"bytes\":%.0f}" n v)
@@ -381,10 +352,85 @@ let decisions_to_json (ds : decision list) : string =
   in
   "[" ^ String.concat "," (List.map one ds) ^ "]"
 
-(** One application's complete [--explain-comm --json] object. *)
+(** One application's complete [--explain comm --json] object. *)
 let explain_to_json ~(app : string) ~(decisions : decision list)
     (summary : Comm.summary) : string =
   Printf.sprintf "{\"app\":\"%s\",\"decisions\":%s,\"comm\":%s}"
     (Comm.json_escape app)
     (decisions_to_json decisions)
     (Comm.summary_to_json summary)
+
+(* ------------------------------------------------------------------ *)
+(* W-FUSION-MISSED lint                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Adjacent multiloop pairs along the let-spine.  [let_float] (part of
+   every cleanup pipeline) has already floated non-loop bindings upward,
+   so independent loops sit adjacent when they can. *)
+let rec spine_pairs (e : exp) : ((Sym.t * loop) * (Sym.t * loop)) list =
+  match e with
+  | Let (s1, Loop l1, (Let (s2, Loop l2, _) as rest)) ->
+      ((s1, l1), (s2, l2)) :: spine_pairs rest
+  | Let (_, _, body) -> spine_pairs body
+  | _ -> []
+
+(** Two adjacent loops may be merged: alpha-equal pure sizes, both
+    bodies pure (effects analysis — impure loops may not be merged or
+    reordered), no dependence of the lower loop on the upper loop's
+    result, and no write-target overlap (vacuous for pure loops,
+    load-bearing for whitelisted externs). *)
+let fusible ((s1, l1) : Sym.t * loop) ((_, l2) : Sym.t * loop) : bool =
+  alpha_equal l1.size l2.size
+  && R.pure l1.size
+  && Effects.pure (Loop l1)
+  && Effects.pure (Loop l2)
+  && (not (Sym.Set.mem s1 (free_vars (Loop l2))))
+  && List.for_all
+       (fun t ->
+         not (List.exists (Stencil.target_equal t) (Effects.write_targets (Loop l2))))
+       (Effects.write_targets (Loop l1))
+
+(* Apply the unconditional horizontal-fusion rule to exactly the
+   [Let (s1, Loop _, Let (s2, Loop _, _))] node named by the pair. *)
+let materialize_fusion ~(s1 : Sym.t) ~(s2 : Sym.t) (e : exp) : exp option =
+  Dmll_opt.Fusion.replace_first
+    (fun t ->
+      match t with
+      | Let (a, Loop _, Let (b, Loop _, _))
+        when Sym.equal a s1 && Sym.equal b s2 ->
+          Dmll_opt.Fusion.horizontal.R.apply t
+      | _ -> None)
+    e
+
+(* A fused candidate must still pass the parallel-safety verifier. *)
+let legal (e : exp) : bool =
+  not (Diag.has_errors (Verify.run ~declared:(Exp.free_vars e) e))
+
+(* Post-fusion cleanup: the shared-memory pipeline with horizontal
+   fusion removed, so only the pair under test is merged. *)
+let cleanup (e : exp) : exp =
+  (Dmll_opt.Pipeline.optimize_with ~horizontal_fusion:false e)
+    .Dmll_opt.Pipeline.program
+
+(** Warn when two adjacent multiloops are provably fusible but the final
+    program leaves them unfused with a strictly worse predicted volume —
+    the compile left traffic on the table.  Surfaces in [dmllc --lint]. *)
+let fusion_missed_diags ?input_lens ?machine (e : exp) : Diag.t list =
+  let volume p = predicted_volume ?input_lens ?machine p in
+  let base = volume e in
+  List.filter_map
+    (fun ((s1, _), (s2, _)) ->
+      match materialize_fusion ~s1 ~s2 e with
+      | None -> None
+      | Some fused ->
+          let fused = cleanup fused in
+          let v = volume fused in
+          if legal fused && v < base -. 1e-6 then
+            Some
+              (Diag.warning ~rule:"W-FUSION-MISSED"
+                 "multiloops %s and %s are fusible but unfused: fusing would \
+                  cut predicted traffic %s -> %s"
+                 (Sym.name s1) (Sym.name s2) (Comm.fmt_bytes base)
+                 (Comm.fmt_bytes v))
+          else None)
+    (List.filter (fun (a, b) -> fusible a b) (spine_pairs e))

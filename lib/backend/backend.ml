@@ -84,13 +84,11 @@ let wrong_payload id = raise (Wrong_payload id)
 (** Compile-time shape of a target, consumed by the driver pipeline in
     place of its historical per-target pattern matches: which cost
     objective tie-breaks horizontal fusion, which machine model the
-    partitioning analysis costs against, whether the global ILP plan
-    selector applies, whether the liveness-driven early-free pass runs,
-    and the final target-specific lowering. *)
+    partitioning analysis costs against, whether the liveness-driven
+    early-free pass runs, and the final target-specific lowering. *)
 type plan = {
   fusion_objective : (Dmll_ir.Exp.exp -> float) option;
   machine : M.cluster option;
-  wants_ilp : bool;
   early_free : bool;
   lower : Dmll_ir.Exp.exp -> Dmll_ir.Exp.exp * string list;
       (** final lowering; returns the lowered program plus the names of
@@ -100,7 +98,6 @@ type plan = {
 let default_plan : plan =
   { fusion_objective = None;
     machine = None;
-    wants_ilp = false;
     early_free = false;
     lower = (fun e -> (e, []));
   }

@@ -34,10 +34,7 @@ type B.payload +=
     }
   | Numa_p of Runtime.Sim_numa.config
   | Gpu_p of Runtime.Sim_gpu.options
-  | Sim_cluster_p of {
-      config : Runtime.Sim_cluster.config;
-      selector : Config.plan_selector;
-    }
+  | Sim_cluster_p of Runtime.Sim_cluster.config
   | Proc_p of Runtime.Proc_cluster.config
   | Net_p of Runtime.Net_cluster.config
   | Native_p of { cache : Bk.Kernel_cache.t; runs : int }
@@ -225,12 +222,11 @@ module Sim_cluster_backend : B.S = struct
     }
 
   let plan = function
-    | Sim_cluster_p { config; selector } ->
+    | Sim_cluster_p config ->
         let machine = config.Runtime.Sim_cluster.cluster in
         { B.fusion_objective =
             Some (fun e -> Analysis.Partition.predicted_volume ~machine e);
           machine = Some machine;
-          wants_ilp = (selector = Analysis.Plan.Ilp);
           early_free = true;
           lower = identity_lower;
         }
@@ -240,7 +236,7 @@ module Sim_cluster_backend : B.S = struct
 
   let execute p (ctx : B.ctx) e =
     match p with
-    | Sim_cluster_p { config; _ } ->
+    | Sim_cluster_p config ->
         let r = Runtime.Sim_cluster.run ~config ~inputs:ctx.B.inputs e in
         { (of_sim ~metrics:ctx.B.metrics r) with
           B.metrics = r.Runtime.Sim_common.metrics;
@@ -427,21 +423,17 @@ let payload_of (cfg : Config.t) : B.payload =
   | Config.Gpu options -> Gpu_p options
   | Config.Cluster cc ->
       Sim_cluster_p
-        { config =
-            { cc with
-              Runtime.Sim_cluster.faults =
-                keep cc.Runtime.Sim_cluster.faults cfg.Config.faults;
-              checkpoint_cadence =
-                (if cc.Runtime.Sim_cluster.checkpoint_cadence > 0 then
-                   cc.Runtime.Sim_cluster.checkpoint_cadence
-                 else cfg.Config.checkpoint_every);
-              mem_budget_gb =
-                keep cc.Runtime.Sim_cluster.mem_budget_gb
-                  cfg.Config.mem_budget_gb;
-              obs = keep cc.Runtime.Sim_cluster.obs cfg.Config.tracer;
-              metrics = keep cc.Runtime.Sim_cluster.metrics cfg.Config.metrics;
-            };
-          selector = cfg.Config.plan_selector;
+        { cc with
+          Runtime.Sim_cluster.faults =
+            keep cc.Runtime.Sim_cluster.faults cfg.Config.faults;
+          checkpoint_cadence =
+            (if cc.Runtime.Sim_cluster.checkpoint_cadence > 0 then
+               cc.Runtime.Sim_cluster.checkpoint_cadence
+             else cfg.Config.checkpoint_every);
+          mem_budget_gb =
+            keep cc.Runtime.Sim_cluster.mem_budget_gb cfg.Config.mem_budget_gb;
+          obs = keep cc.Runtime.Sim_cluster.obs cfg.Config.tracer;
+          metrics = keep cc.Runtime.Sim_cluster.metrics cfg.Config.metrics;
         }
   | Config.Proc_cluster pc ->
       Proc_p

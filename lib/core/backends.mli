@@ -15,10 +15,7 @@ type Dmll_backend.Backend.payload +=
     }
   | Numa_p of Dmll_runtime.Sim_numa.config
   | Gpu_p of Dmll_runtime.Sim_gpu.options
-  | Sim_cluster_p of {
-      config : Dmll_runtime.Sim_cluster.config;
-      selector : Config.plan_selector;
-    }
+  | Sim_cluster_p of Dmll_runtime.Sim_cluster.config
   | Proc_p of Dmll_runtime.Proc_cluster.config
   | Net_p of Dmll_runtime.Net_cluster.config
   | Native_p of { cache : Dmll_backend.Kernel_cache.t; runs : int }

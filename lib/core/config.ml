@@ -29,16 +29,6 @@ type target =
           when available, child process otherwise, both behind the
           content-addressed kernel cache (DESIGN.md §17) *)
 
-(** How cluster compiles choose among interacting fusion / rewrite /
-    partition-layout decisions (re-export of
-    [Dmll_analysis.Plan.selector]): [Greedy] keeps the historical
-    per-decision linear searches; [Ilp] solves the joint plan space as a
-    0-1 ILP (DESIGN.md §15), falling back to greedy automatically when
-    the solver exhausts its node budget or its plan would move more
-    bytes than greedy's.  Only cluster-modeled targets consult this;
-    every other target always uses the greedy pipeline. *)
-type plan_selector = Dmll_analysis.Plan.selector = Greedy | Ilp
-
 type t = {
   target : target;
   debug : bool;
@@ -58,9 +48,6 @@ type t = {
   trace_file : string option;
       (** where tools write the Chrome [trace_event] JSON ([--trace]) *)
   profile : bool;  (** tools print a self-time profile ([--profile]) *)
-  plan_selector : plan_selector;
-      (** joint plan selection policy for cluster targets ([Ilp] by
-          default, with automatic greedy fallback) *)
   kernel_cache_dir : string option;
       (** root of the on-disk kernel cache for the [Native] target
           ([None] = the process-wide shared cache under the system temp
@@ -77,7 +64,6 @@ let default =
     metrics = None;
     trace_file = None;
     profile = false;
-    plan_selector = Ilp;
     kernel_cache_dir = None;
   }
 
@@ -94,7 +80,6 @@ let with_tracer tracer t = { t with tracer = Some tracer }
 let with_metrics metrics t = { t with metrics = Some metrics }
 let with_trace_file f t = { t with trace_file = Some f }
 let with_profile profile t = { t with profile }
-let with_plan_selector plan_selector t = { t with plan_selector }
 let with_kernel_cache_dir d t = { t with kernel_cache_dir = Some d }
 
 (** Ensure the config carries live observability sinks: a tracer when

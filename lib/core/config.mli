@@ -38,16 +38,6 @@ type target =
           when available, child process otherwise, both behind the
           content-addressed kernel cache (DESIGN.md §17) *)
 
-(** How cluster compiles choose among interacting fusion / rewrite /
-    partition-layout decisions (re-export of
-    [Dmll_analysis.Plan.selector]): [Greedy] keeps the historical
-    per-decision linear searches; [Ilp] solves the joint plan space as a
-    0-1 ILP (DESIGN.md §15), falling back to greedy automatically when
-    the solver exhausts its node budget or its plan would move more
-    bytes than greedy's.  Only cluster-modeled targets consult this;
-    every other target always uses the greedy pipeline. *)
-type plan_selector = Dmll_analysis.Plan.selector = Greedy | Ilp
-
 type t = {
   target : target;
   debug : bool;
@@ -67,9 +57,6 @@ type t = {
   trace_file : string option;
       (** where tools write the Chrome [trace_event] JSON ([--trace]) *)
   profile : bool;  (** tools print a self-time profile ([--profile]) *)
-  plan_selector : plan_selector;
-      (** joint plan selection policy for cluster targets ([Ilp] by
-          default, with automatic greedy fallback) *)
   kernel_cache_dir : string option;
       (** root of the on-disk kernel cache for the [Native] target
           ([None] = the process-wide shared cache under the system temp
@@ -88,7 +75,6 @@ val with_tracer : Span.t -> t -> t
 val with_metrics : Metrics.t -> t -> t
 val with_trace_file : string -> t -> t
 val with_profile : bool -> t -> t
-val with_plan_selector : plan_selector -> t -> t
 val with_kernel_cache_dir : string -> t -> t
 
 val armed : t -> t

@@ -145,10 +145,9 @@ let with_run_checks (debug : bool) (f : unit -> 'a) : 'a =
     The target shapes compilation only through its backend's
     {!Dmll_backend.Backend.plan} (resolved through the registry): the
     fusion objective that tie-breaks horizontal fusion, the machine
-    model the partitioning analysis costs against, whether the global
-    ILP plan selector owns fusion jointly with the Figure-3 rewrites,
-    whether the liveness-driven early-free pass runs (DESIGN.md §13),
-    and the final target-specific lowering. *)
+    model the partitioning analysis costs against, whether the
+    liveness-driven early-free pass runs (DESIGN.md §13), and the final
+    target-specific lowering. *)
 let compile_with (cfg : Config.t) (source : Exp.exp) : compiled =
   let target = cfg.Config.target in
   let debug = cfg.Config.debug in
@@ -159,32 +158,22 @@ let compile_with (cfg : Config.t) (source : Exp.exp) : compiled =
   let plan = Bx.plan payload in
   let fusion_objective = plan.Backend.Backend.fusion_objective in
   let machine = plan.Backend.Backend.machine in
-  let use_ilp = plan.Backend.Backend.wants_ilp in
   if debug then stage "verify-source" (fun () -> verify_stage "source" source);
   (* 1. target-independent optimizations, including the CPU-beneficial
-     nested rules (GroupBy-Reduce and friends, §3.2).  When the global
-     (ILP) plan selector owns horizontal fusion jointly with the
-     Figure-3 rewrites, the generic pipeline defers fusion; otherwise
-     fusion stays in the rewriter, tie-broken by the backend's
-     objective (predicted communication volume on clusters). *)
+     nested rules (GroupBy-Reduce and friends, §3.2); horizontal fusion
+     is tie-broken by the backend's objective (predicted communication
+     volume on clusters) *)
   let r =
     stage "generic-optimize" (fun () ->
         Opt.Pipeline.optimize_with ?tracer
-          ~extra_rules:Opt.Rules_nested.cpu_rules ?fusion_objective
-          ~horizontal_fusion:(not use_ilp) source)
+          ~extra_rules:Opt.Rules_nested.cpu_rules ?fusion_objective source)
   in
   let generic = r.Opt.Pipeline.program in
-  (* 2. partitioning analysis with stencil-triggered rewrites (§4):
-     greedy per-decision search, or the global ILP plan selector *)
+  (* 2. partitioning analysis with cost-guided stencil-triggered
+     rewrites (§4) *)
   let partition =
     stage "partition-analyze" (fun () ->
-        if use_ilp then
-          (Analysis.Plan.analyze ?tracer ?machine
-             ?budget_gb:cfg.Config.mem_budget_gb generic)
-            .Analysis.Plan.report
-        else
-          Analysis.Partition.analyze ?tracer ?fusion_objective ?machine
-            generic)
+        Analysis.Partition.analyze ?tracer ?fusion_objective ?machine generic)
   in
   let after_partition = partition.Analysis.Partition.program in
   (* 3. liveness-driven early-free (DESIGN.md §13), where the backend's
@@ -306,8 +295,8 @@ let lint (c : compiled) : Analysis.Diag.t list =
        Costed against the compile's own machine model when its backend
        plans one. *)
     match (Backends.plan_of_target c.target).Backend.Backend.machine with
-    | Some machine -> Analysis.Plan.fusion_missed_diags ~machine c.final
-    | None -> Analysis.Plan.fusion_missed_diags c.final
+    | Some machine -> Analysis.Partition.fusion_missed_diags ~machine c.final
+    | None -> Analysis.Partition.fusion_missed_diags c.final
   in
   Analysis.Diag.sort
     (Analysis.Verify.run c.final

@@ -94,7 +94,9 @@ val compile_with : Config.t -> Exp.exp -> compiled
     before/after IR sizes), and partitioning-analysis step
     (["partition"]).  The target shapes compilation only through its
     backend's plan ({!Backends.resolve}): fusion objective, machine
-    model, ILP plan selection, early-free, and final lowering. *)
+    model, early-free, and final lowering.  Every target plans through
+    the one greedy cost-guided path: the generic pipeline with the
+    backend's fusion objective, then the partitioning analysis. *)
 
 val optimizations : compiled -> string list
 (** Distinct optimizations that fired, in first-fired order — the

@@ -480,7 +480,7 @@ let rules = [ vertical; let_float; horizontal; dead_gen; dedup_gen ]
 (** The fusion rule set with an explicitly threaded horizontal-fusion
     policy: [objective] installs the communication veto (cluster
     targets), [horizontal:false] removes horizontal fusion entirely so a
-    downstream planner ({!Dmll_analysis.Plan}) can own the decision.
+    caller can merge one chosen pair itself (the W-FUSION-MISSED lint).
     With neither, identical to {!rules}. *)
 let rules_with ?objective ?on_reject ?(horizontal = true) () :
     Rewrite.rule list =

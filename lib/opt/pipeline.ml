@@ -105,9 +105,8 @@ let trace_rules (tracer : Span.t option) (rules : Rewrite.rule list) :
     predicted-volume closure for cluster targets; candidates that would
     move strictly more bytes are declined, [?on_fusion_reject] observes
     each decline).  [~horizontal_fusion:false] removes horizontal fusion
-    from the pipeline entirely, so a global planner
-    ([Dmll_analysis.Plan]) can own the fusion decision instead of the
-    rewriter.
+    from the pipeline entirely, so a caller can merge one chosen pair
+    itself ([Dmll_analysis.Partition.fusion_missed_diags]).
 
     [?tracer] records one span per pipeline stage (cat ["pipeline"]) and
     one per rule firing (cat ["rule"]), with before/after IR sizes. *)
