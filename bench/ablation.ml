@@ -53,8 +53,7 @@ let measure_variant ~(inputs : (string * V.t) list) (program : Dmll_ir.Exp.exp)
     (v : variant) : float option =
   try
     let p = v.optimize program in
-    let r = Dmll_backend.Native.run ~runs:3 ~inputs p in
-    Some r.Dmll_backend.Native.seconds
+    Some (Dmll_util.Timing.measure ~runs:3 (fun () -> Dmll_backend.Native.run ~inputs p))
   with
   | Dmll_backend.Native.Native_error _ | Dmll_backend.Codegen_ocaml.Unsupported _ ->
       None

@@ -11,6 +11,9 @@
    cache root itself is exempt: committed kernels are supposed to
    persist).
 
+   Each leg is one [Dmll.execute] timed end to end: [cold_s] includes
+   [ocamlopt] and Dynlink, and [speedup] is cold over warm.
+
    Emits one JSON line per app — mirrored into BENCH_jit.json:
 
      {"app":"kmeans","path":"jit","cold_s":...,"warm_s":...,
@@ -40,8 +43,7 @@ let apps () =
       Dmll_apps.Tpch_q1.aos_inputs q1 @ Dmll_apps.Tpch_q1.soa_inputs q1 );
   ]
 
-(* dmll_native_run* scratch directories in the system temp dir — each
-   native execution creates one and must remove it on every path. *)
+(* dmll_native_run* scratch dirs in the temp dir: a run may leave none. *)
 let scratch_dirs () =
   let tmp = Filename.get_temp_dir_name () in
   match Sys.readdir tmp with
@@ -53,16 +55,13 @@ let scratch_dirs () =
       |> List.sort String.compare
 
 let run () =
-  if not (Lazy.force Native.available) then
-    Printf.printf
-      "ocamlfind/ocamlopt unavailable; jit_validate skipped (vacuous pass)\n"
+  if not (Lazy.force Native.Jit.available) then
+    Printf.printf "native JIT unavailable; jit_validate skipped (vacuous pass)\n"
   else begin
-    let path = if Lazy.force Native.Jit.available then "jit" else "child" in
     Printf.printf
-      "Kernel cache: cold vs warm native execution (%s path)\n\
+      "Kernel cache: cold vs warm native execution, end to end\n\
        (contract: the warm leg performs zero codegen and zero compilation\n\
-       \ and its value is bit-identical to the cold leg's).\n\n"
-      path;
+       \ and its value is bit-identical to the cold leg's).\n\n";
     let root = Filename.temp_file "dmll-jit-validate" "" in
     Sys.remove root;
     let before = scratch_dirs () in
@@ -99,8 +98,8 @@ let run () =
             in
             let line =
               Printf.sprintf
-                "{\"app\":%S,\"path\":%S,\"cold_s\":%.6f,\"warm_s\":%.6f,\"cold_miss\":%d,\"cold_hit\":%d,\"warm_miss\":%d,\"warm_hit\":%d,\"speedup\":%.2f,\"value_ok\":%b}"
-                name path cold.Dmll.seconds warm.Dmll.seconds cold_miss
+                "{\"app\":%S,\"path\":\"jit\",\"cold_s\":%.6f,\"warm_s\":%.6f,\"cold_miss\":%d,\"cold_hit\":%d,\"warm_miss\":%d,\"warm_hit\":%d,\"speedup\":%.2f,\"value_ok\":%b}"
+                name cold.Dmll.seconds warm.Dmll.seconds cold_miss
                 cold_hit warm_miss warm_hit speedup value_ok
             in
             Printf.printf "%s\n%!" line;
@@ -122,7 +121,7 @@ let run () =
               Printf.printf "  FAIL %s: warm value differs from cold value\n" name
             end)
           (apps ()));
-    (* temp-dir hygiene: every per-run scratch directory must be gone *)
+    (* temp-dir hygiene: no per-run scratch directory may remain *)
     let after = scratch_dirs () in
     let stray = List.filter (fun d -> not (List.mem d before)) after in
     if stray <> [] then begin

@@ -7,7 +7,8 @@
    implementation in Dmll_apps/Dmll_graph.  The paper's C++ gap was <=25%;
    ours additionally pays one indirect call per IR node (see DESIGN.md §2
    and EXPERIMENTS.md), so the expected gap is larger but the asymptotics
-   — one fused traversal, unboxed storage — are the same. *)
+   — one fused traversal, unboxed storage — are the same.  Native: the
+   median of whole warm [Native.run] calls, marshalling included. *)
 
 module V = Dmll_interp.Value
 module T = Dmll_util.Table
@@ -33,9 +34,9 @@ let bench_app ~name ~dataset ~per_iter ~(program : Dmll_ir.Exp.exp)
   (* the native (ocamlopt-compiled) backend, with a correctness gate *)
   let native_s =
     try
-      let r = Dmll_backend.Native.run ~runs:(Stdlib.max 3 runs) ~inputs compiled.Dmll.final in
-      if V.approx_equal ~eps:1e-6 reference_value r.Dmll_backend.Native.value then
-        Some r.Dmll_backend.Native.seconds
+      let run () = Dmll_backend.Native.run ~inputs compiled.Dmll.final in
+      if V.approx_equal ~eps:1e-6 reference_value (run ()).Dmll_backend.Native.value then
+        Some (measure ~runs:(Stdlib.max 3 runs) run)
       else begin
         Printf.eprintf "table2: native result mismatch for %s\n" name;
         None

@@ -2,10 +2,10 @@
     in-process closure compiler, the Dynlink/ocamlopt native JIT, the
     simulated NUMA/GPU/cluster machines, the real process and TCP
     executors — implements the same first-class module interface
-    {!S} ([id] / [describe] / [capabilities] / [plan] / [emit] /
-    [execute]) and registers itself in {!Registry}, so the driver
-    ([Dmll.compile_with] / [Dmll.execute]) dispatches uniformly instead
-    of pattern-matching targets.
+    {!S} ([id] / [describe] / [capabilities] / [plan] / [execute]) and
+    registers itself in {!Registry}, so the driver ([Dmll.compile_with]
+    / [Dmll.execute]) dispatches uniformly instead of pattern-matching
+    targets.
 
     The backend library sits {e below} the runtime library in the
     dependency order, while most backends wrap runtime executors — so a
@@ -138,10 +138,6 @@ module type S = sig
 
   val plan : payload -> plan
   (** Compile-time hooks for this target (see {!type:plan}). *)
-
-  val emit : payload -> Dmll_ir.Exp.exp -> string option
-  (** Generated source text for the program, when this backend emits
-      any ([None] for interpreting/simulating backends). *)
 
   val execute : payload -> ctx -> Dmll_ir.Exp.exp -> exec_result
   (** Run the fully lowered program. *)

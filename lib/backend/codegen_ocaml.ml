@@ -1,5 +1,5 @@
-(** Native backend, stage 1: emit a standalone OCaml program from
-    optimized DMLL IR.
+(** Native backend, stage 1: emit an OCaml kernel plugin from optimized
+    DMLL IR.
 
     This plays the role of Delite's C++ code generator played in the paper
     — and unlike {!Codegen_c} it is actually {e compiled and executed}
@@ -9,11 +9,10 @@
     become [for] loops with unboxed accumulators — the code a careful
     human would write.
 
-    The generated program reads its inputs from a marshalled file (the
+    The generated kernel takes its inputs as a marshalled string (the
     [value] type below structurally mirrors [Dmll_interp.Value.t], so
-    [Marshal] round-trips between host and program), times [runs]
-    executions of the program body, prints the median, and marshals the
-    result back. *)
+    [Marshal] round-trips between host and plugin) and returns its
+    result marshalled the same way. *)
 
 open Dmll_ir
 open Exp
@@ -553,10 +552,8 @@ and strip_lets e =
 (* Program assembly                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared runtime support of both emission modes (standalone program and
-   Dynlink kernel plugin): the [value] mirror type and the bucket / buf
-   helpers.  No I/O — the modes differ only in how inputs arrive and
-   results leave. *)
+(* Runtime support of every kernel: the [value] mirror type and the
+   bucket / buf helpers. *)
 let runtime_prelude =
   {|(* Generated by the DMLL native (OCaml) backend. Do not edit. *)
 (* The [value] type mirrors Dmll_interp.Value.t structurally, so Marshal
@@ -613,19 +610,6 @@ let buf_push b x =
 let buf_contents b = Array.sub b.ba 0 b.bn
 |}
 
-let prelude =
-  runtime_prelude
-  ^ {|
-let raw_inputs : (string * value) list =
-  let ic = open_in_bin Sys.argv.(1) in
-  let v = (Marshal.from_channel ic : (string * value) list) in
-  close_in ic;
-  v
-
-let find_input name =
-  try List.assoc name raw_inputs with Not_found -> failwith ("missing input " ^ name)
-|}
-
 (* The named inputs [e] reads, deduplicated. *)
 let inputs_of (e : exp) : (string * Types.ty) list =
   let inputs = Hashtbl.create 8 in
@@ -641,49 +625,11 @@ let inputs_of (e : exp) : (string * Types.ty) list =
        () e);
   List.rev_map (fun name -> (name, Hashtbl.find inputs name)) !order
 
-(** Emit the complete standalone program for [e]. *)
-let emit_program (e : exp) : string =
-  let ty = ty_of_exp e in
-  let em = new_em () in
-  let result = emit em e in
-  let body = Buffer.contents em.buf in
-  (* typed input bindings *)
-  let input_binds =
-    List.map
-      (fun (name, t) ->
-        Printf.sprintf "let %s : %s = %s (find_input %S)\n" (mangle_input name)
-          (oty t) (unwrap t) name)
-      (inputs_of e)
-  in
-  String.concat ""
-    ([ prelude; "\n" ]
-    @ input_binds
-    @ [ Printf.sprintf "\nlet program () : %s =\n" (oty ty);
-        body;
-        Printf.sprintf "  %s\n\n" result;
-        {|let () =
-  let runs = int_of_string Sys.argv.(2) in
-  ignore (program ());
-  let times =
-    Array.init runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Sys.opaque_identity (program ()));
-        Unix.gettimeofday () -. t0)
-  in
-  Array.sort compare times;
-  Printf.printf "TIME %.9f\n" times.(runs / 2);
-  let oc = open_out_bin Sys.argv.(3) in
-|};
-        Printf.sprintf "  Marshal.to_channel oc (%s (program ())) [];\n" (wrap ty);
-        "  close_out oc\n";
-      ])
-
-(** Emit a Dynlink kernel plugin for [e] (DESIGN.md §17): the same typed
-    program body as {!emit_program}, but wrapped as a
-    [string -> string] closure (marshalled inputs to marshalled result)
-    whose module initializer hands it to the host through
-    [Dmll_backend.Kernel_link.register] under [key].  No file I/O, no
-    timing main — the host owns both. *)
+(** Emit a Dynlink kernel plugin for [e] (DESIGN.md §17): the typed
+    program body wrapped as a [string -> string] closure (marshalled
+    inputs to marshalled result) whose module initializer hands it to
+    the host through [Dmll_backend.Kernel_link.register] under [key].
+    No file I/O, no timing — the host owns both. *)
 let emit_kernel ~(key : string) (e : exp) : string =
   let ty = ty_of_exp e in
   let em = new_em () in

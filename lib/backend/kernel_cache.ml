@@ -19,9 +19,8 @@
       a checksum mismatch (storage rot, truncation) rejects the entry
       and forces a recompile.
 
-    The cache stores {e artifacts}, not values: a [`Cmxs] shared object
-    for the Dynlink JIT path, or a [`Exe] standalone program for the
-    child-process fallback. *)
+    The cache stores {e artifacts}, not values: the [.cmxs] shared object
+    of a Dynlink kernel plugin. *)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical IR hash                                                   *)
@@ -214,17 +213,8 @@ let module_name_of_key (k : string) : string =
 (* Entries and the store                                               *)
 (* ------------------------------------------------------------------ *)
 
-type kind = Cmxs | Exe
-
-let kind_to_string = function Cmxs -> "cmxs" | Exe -> "exe"
-let kind_of_string = function
-  | "cmxs" -> Some Cmxs
-  | "exe" -> Some Exe
-  | _ -> None
-
 type entry = {
   key : string;
-  kind : kind;
   dir : string;  (** the committed entry directory *)
   artifact : string;  (** absolute path of the compiled artifact *)
   source_file : string;  (** the generated source, for inspection *)
@@ -313,17 +303,18 @@ let entry_dir t k = Filename.concat t.root k
 let meta_path dir = Filename.concat dir "META"
 
 (* META: line-oriented text — magic, kind, artifact basename, artifact
-   checksum, source basename.  Anything unparsable or mismatched is a
-   corrupt entry. *)
-let write_meta ~dir ~(kind : kind) ~(artifact : string) ~(source : string) : unit =
+   checksum, source basename.  The kind is always [cmxs]; an entry of
+   any other kind is rejected, as is anything unparsable or
+   mismatched. *)
+let write_meta ~dir ~(artifact : string) ~(source : string) : unit =
   let sum = fnv1a (read_all (Filename.concat dir artifact)) in
   let payload =
-    Printf.sprintf "%s\nkind=%s\nartifact=%s\nsum=%016Lx\nsource=%s\n" meta_magic
-      (kind_to_string kind) artifact sum source
+    Printf.sprintf "%s\nkind=cmxs\nartifact=%s\nsum=%016Lx\nsource=%s\n" meta_magic
+      artifact sum source
   in
   write_file_atomic ~path:(meta_path dir) payload
 
-let read_meta ~dir : (kind * string * string, string) result =
+let read_meta ~dir : (string * string, string) result =
   match read_all (meta_path dir) with
   | exception _ -> Error "missing META"
   | raw -> (
@@ -341,20 +332,15 @@ let read_meta ~dir : (kind * string * string, string) result =
             (field "kind" kind_l, field "artifact" art_l, field "sum" sum_l,
              field "source" src_l)
           with
-          | Some kind_s, Some artifact, Some sum_s, Some source -> (
-              match kind_of_string kind_s with
-              | None -> Error ("unknown kind " ^ kind_s)
-              | Some kind -> (
-                  let art_path = Filename.concat dir artifact in
-                  match read_all art_path with
-                  | exception _ -> Error "missing artifact"
-                  | bytes ->
-                      let expect =
-                        try Scanf.sscanf sum_s "%Lx" Fun.id with _ -> -1L
-                      in
-                      if Int64.equal (fnv1a bytes) expect then
-                        Ok (kind, artifact, source)
-                      else Error "artifact checksum mismatch"))
+          | Some "cmxs", Some artifact, Some sum_s, Some source -> (
+              match read_all (Filename.concat dir artifact) with
+              | exception _ -> Error "missing artifact"
+              | bytes ->
+                  let expect =
+                    try Scanf.sscanf sum_s "%Lx" Fun.id with _ -> -1L
+                  in
+                  if Int64.equal (fnv1a bytes) expect then Ok (artifact, source)
+                  else Error "artifact checksum mismatch")
           | _ -> Error "malformed META")
       | _ -> Error "malformed META")
 
@@ -401,10 +387,9 @@ let find (t : t) (k : string) : (entry * tier) option =
             | Error _ ->
                 rm_rf dir;
                 None
-            | Ok (kind, artifact, source) ->
+            | Ok (artifact, source) ->
                 let e =
                   { key = k;
-                    kind;
                     dir;
                     artifact = Filename.concat dir artifact;
                     source_file = Filename.concat dir source;
@@ -423,14 +408,13 @@ let find (t : t) (k : string) : (entry * tier) option =
 let tmp_counter = ref 0
 
 (** Compile-and-commit: write [source] into a private build directory
-    (as [source_name] — for [`Cmxs] entries this fixes the plugin's
-    compilation-unit name), run [build] there (producing [artifact], a
-    basename, inside it), then commit the directory under [key] with
-    its META record.  The directory rename is the commit point; losing
-    a commit race to a concurrent process simply adopts the winner's
-    entry. *)
-let store (t : t) ~(key : string) ~(kind : kind)
-    ?(source_name = "kernel.ml") ~(source : string) ~(artifact : string)
+    (as [source_name] — this fixes the plugin's compilation-unit name),
+    run [build] there (producing [artifact], a basename, inside it),
+    then commit the directory under [key] with its META record.  The
+    directory rename is the commit point; losing a commit race to a
+    concurrent process simply adopts the winner's entry. *)
+let store (t : t) ~(key : string) ?(source_name = "kernel.ml")
+    ~(source : string) ~(artifact : string)
     ~(build : dir:string -> (unit, string) result) () : (entry, string) result =
   incr tmp_counter;
   let build_dir =
@@ -446,7 +430,7 @@ let store (t : t) ~(key : string) ~(kind : kind)
         if not (Sys.file_exists (Filename.concat build_dir artifact)) then
           Error (Printf.sprintf "build produced no %s" artifact)
         else begin
-          write_meta ~dir:build_dir ~kind ~artifact ~source:source_name;
+          write_meta ~dir:build_dir ~artifact ~source:source_name;
           let final = entry_dir t key in
           (match Unix.rename build_dir final with
           | () -> ()
@@ -461,10 +445,9 @@ let store (t : t) ~(key : string) ~(kind : kind)
           fsync_dir t.root;
           match read_meta ~dir:final with
           | Error m -> Error ("commit verification failed: " ^ m)
-          | Ok (kind, artifact, source) ->
+          | Ok (artifact, source) ->
               let e =
                 { key;
-                  kind;
                   dir = final;
                   artifact = Filename.concat final artifact;
                   source_file = Filename.concat final source;

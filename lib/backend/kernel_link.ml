@@ -5,14 +5,17 @@
     [Dynlink.loadfile_private] — loading only runs the module
     initializers.  This module is the narrow rendezvous point both sides
     agree on: the plugin's initializer calls {!register} with its cache
-    key and kernel closure, and the host {!take}s it right after the
+    key and kernel closure, and the host {!find}s it right after the
     load returns.
 
     The kernel interface is deliberately untyped at the seam —
     [string -> string], marshalled inputs to marshalled result — so a
-    plugin needs {e only} this module's interface to compile, keeping
-    the compiled artifact's Dynlink import surface (and therefore its
-    cache stability across host rebuilds) as small as possible. *)
+    plugin needs {e only} this module's interface (and the library's
+    alias module) to compile.  Both compiled interfaces are embedded in
+    the library ({!Kernel_cmis}), so [Native] compiles plugins from any
+    executable, and the compiled artifact's Dynlink import surface (and
+    therefore its cache stability across host rebuilds) stays as small
+    as possible. *)
 
 type kernel = string -> string
 (** Marshalled [(string * value) list] inputs to a marshalled [value]

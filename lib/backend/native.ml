@@ -2,21 +2,14 @@
     and execute it — the full Delite-style flow the paper used
     (generate → gcc → run), realized with the OCaml toolchain.
 
-    Two execution paths, both fronted by the content-addressed
-    {!Kernel_cache} (DESIGN.md §17):
-
-    - {b In-process JIT} ({!Jit}): the program is emitted as a Dynlink
-      plugin ([Codegen_ocaml.emit_kernel]), compiled with
-      [ocamlopt -shared], dynlinked into this process, and handed back
-      through the {!Kernel_link} registry.  No child process, no
-      per-run marshalling to disk — the kernel is a [string -> string]
-      closure over marshalled inputs.
-    - {b Child process} (the historical path): a standalone executable
-      that times its own kernel (median of [runs] executions, after a
-      warmup) so compilation and input-marshalling costs never pollute
-      the measurement, and marshals its result back for the
-      correctness gate.  This is the fallback when Dynlink is
-      unavailable (bytecode builds, missing cmi directory).
+    One executor, fronted by the content-addressed {!Kernel_cache}
+    (DESIGN.md §17): the program is emitted as a Dynlink plugin
+    ([Codegen_ocaml.emit_kernel]), compiled with [ocamlopt -shared]
+    against the two interface files embedded in this library
+    ({!Kernel_cmis}), dynlinked into this process, and handed back
+    through the {!Kernel_link} registry as a [string -> string] closure
+    over marshalled inputs.  {!run} calls it once; its [seconds] is the
+    wall time of the whole call.
 
     A cache hit — memory or disk — performs {e zero} codegen and zero
     compilation; [kernel_cache_hit]/[kernel_cache_miss] metrics record
@@ -32,10 +25,6 @@ type result = { value : V.t; seconds : float }
 exception Native_error of string
 
 let fail fmt = Fmt.kstr (fun s -> raise (Native_error s)) fmt
-
-(** Is the native toolchain usable in this environment? *)
-let available =
-  lazy (Sys.command "ocamlfind ocamlopt -version > /dev/null 2>&1" = 0)
 
 let backend_id = "native"
 
@@ -76,138 +65,13 @@ let record_miss ?metrics () =
   | Some m -> Metrics.incr m "kernel_cache_miss"
   | None -> ()
 
-(* ------------------------------------------------------------------ *)
-(* Child-process path                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type compiled = {
-  dir : string;  (** directory holding the executable (cache entry dir) *)
-  exe : string;
-  source : string;  (** the generated OCaml source, for inspection *)
-}
-
-(** Generate and compile the standalone program through the kernel
-    cache; a hit skips both steps.  The returned executable lives in
-    its cache entry directory and is reusable across input sets. *)
-let compile ?cache ?metrics ?tracer (e : Dmll_ir.Exp.exp) : compiled =
-  if not (Lazy.force available) then fail "ocamlfind/ocamlopt not available";
-  let cache =
-    match cache with Some c -> c | None -> Lazy.force Kernel_cache.shared
-  in
-  let key = cache_key e ^ "-exe" in
-  let of_entry (entry : Kernel_cache.entry) =
-    { dir = entry.Kernel_cache.dir;
-      exe = entry.Kernel_cache.artifact;
-      source = (try Kernel_cache.read_all entry.Kernel_cache.source_file with _ -> "");
-    }
-  in
-  match Kernel_cache.find cache key with
-  | Some (entry, _tier) ->
-      record_hit ?metrics ();
-      of_entry entry
-  | None ->
-      record_miss ?metrics ();
-      Span.with_span ?tracer ~cat:"backend" "kernel-compile" (fun () ->
-          let source = Codegen_ocaml.emit_program e in
-          let stored =
-            Kernel_cache.store cache ~key ~kind:Kernel_cache.Exe
-              ~source_name:"prog.ml" ~source ~artifact:"prog"
-              ~build:(fun ~dir ->
-                command_in ~dir
-                  "ocamlfind ocamlopt -package unix -linkpkg prog.ml -o prog")
-              ()
-          in
-          match stored with
-          | Error m -> fail "%s" m
-          | Ok entry -> of_entry entry)
-
-(** Run a compiled program on [inputs]; the child reports the median
-    kernel time of [runs] executions.  Per-run scratch files live in a
-    private temp directory that is always cleaned up — the cache entry
-    directory itself is never written to. *)
-let execute (c : compiled) ?(runs = 3) ~(inputs : (string * V.t) list) () :
-    result =
-  let scratch =
-    Filename.temp_file "dmll_native_run" "" |> fun f ->
-    Sys.remove f;
-    Unix.mkdir f 0o700;
-    f
-  in
-  Fun.protect
-    ~finally:(fun () -> Kernel_cache.rm_rf scratch)
-    (fun () ->
-      let in_path = Filename.concat scratch "inputs.bin" in
-      let out_path = Filename.concat scratch "result.bin" in
-      let time_path = Filename.concat scratch "time.txt" in
-      let oc = open_out_bin in_path in
-      Marshal.to_channel oc inputs [];
-      close_out oc;
-      let cmd =
-        Printf.sprintf "%s %s %d %s > %s" (Filename.quote c.exe)
-          (Filename.quote in_path) runs (Filename.quote out_path)
-          (Filename.quote time_path)
-      in
-      if Sys.command cmd <> 0 then fail "generated program failed (%s)" c.exe;
-      let seconds =
-        let ic = open_in time_path in
-        let line = input_line ic in
-        close_in ic;
-        Scanf.sscanf line "TIME %f" (fun f -> f)
-      in
-      let value : V.t =
-        let ic = open_in_bin out_path in
-        let v = (Marshal.from_channel ic : V.t) in
-        close_in ic;
-        v
-      in
-      { value; seconds })
-
-(** One-shot: generate (or cache-hit), compile, run, clean up scratch. *)
-let run ?cache ?metrics ?tracer ?(runs = 3) ~(inputs : (string * V.t) list)
-    (e : Dmll_ir.Exp.exp) : result =
-  execute (compile ?cache ?metrics ?tracer e) ~runs ~inputs ()
-
-(* ------------------------------------------------------------------ *)
-(* In-process JIT path                                                  *)
-(* ------------------------------------------------------------------ *)
-
 module Jit = struct
-  (* The plugin references Dmll_backend.Kernel_link, so ocamlopt needs
-     this library's cmi directory.  Running from a dune build tree, the
-     executable sits under _build/default/... and the cmis under
-     _build/default/lib/backend/.dmll_backend.objs/byte — walk upward
-     from the executable until that relative path resolves. *)
-  let cmi_dir : string option Lazy.t =
-    lazy
-      (let rel =
-         Filename.concat "lib"
-           (Filename.concat "backend"
-              (Filename.concat ".dmll_backend.objs" "byte"))
-       in
-       let rec walk d depth =
-         if depth > 8 then None
-         else
-           let candidate = Filename.concat d rel in
-           if Sys.file_exists candidate && Sys.is_directory candidate then
-             Some candidate
-           else
-             let parent = Filename.dirname d in
-             if String.equal parent d then None else walk parent (depth + 1)
-       in
-       let start =
-         try Filename.dirname (Unix.realpath Sys.executable_name)
-         with _ -> Filename.dirname Sys.executable_name
-       in
-       walk start 0)
-
-  (** JIT availability: a native-code host (Dynlink of .cmxs), the
-      toolchain, and the cmi directory for the plugin's external
-      references. *)
+  (** JIT availability: a native-code host (Dynlink of .cmxs) and the
+      [ocamlfind ocamlopt] toolchain. *)
   let available : bool Lazy.t =
     lazy
       (Dynlink.is_native
-      && Lazy.force available
-      && Option.is_some (Lazy.force cmi_dir))
+      && Sys.command "ocamlfind ocamlopt -version > /dev/null 2>&1" = 0)
 
   (** What answered a {!kernel_for} request — lets callers (and tests)
       assert precisely that warm paths did no compilation. *)
@@ -221,6 +85,8 @@ module Jit = struct
     | Dynlink.Error e -> Error (Dynlink.error_message e)
     | exn -> Error (Printexc.to_string exn)
 
+  (* The plugin refers to Dmll_backend.Kernel_link, so its build
+     directory gets the embedded interfaces of both units. *)
   let compile_plugin ?tracer cache ~key (e : Dmll_ir.Exp.exp) :
       (Kernel_cache.entry, string) Stdlib.result =
     Span.with_span ?tracer ~cat:"backend" "kernel-compile" (fun () ->
@@ -228,19 +94,17 @@ module Jit = struct
         let source_name = String.uncapitalize_ascii modname ^ ".ml" in
         let artifact = String.uncapitalize_ascii modname ^ ".cmxs" in
         let source = Codegen_ocaml.emit_kernel ~key e in
-        match Lazy.force cmi_dir with
-        | None -> Error "dmll_backend cmi directory not found"
-        | Some cmis ->
-            Kernel_cache.store cache ~key ~kind:Kernel_cache.Cmxs ~source_name
-              ~source ~artifact
-              ~build:(fun ~dir ->
-                command_in ~dir
-                  (Printf.sprintf
-                     "ocamlfind ocamlopt -shared -I %s -w -a %s -o %s"
-                     (Filename.quote cmis)
-                     (Filename.quote source_name)
-                     (Filename.quote artifact)))
-              ())
+        Kernel_cache.store cache ~key ~source_name ~source ~artifact
+          ~build:(fun ~dir ->
+            List.iter
+              (fun (name, bytes) ->
+                Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+                    Out_channel.output_string oc bytes))
+              Kernel_cmis.files;
+            command_in ~dir
+              (Printf.sprintf "ocamlfind ocamlopt -shared -I . -w -a %s -o %s"
+                 (Filename.quote source_name) (Filename.quote artifact)))
+          ())
 
   (** Resolve the kernel for [e]: already-linked registry entry first,
       then the kernel cache (dynlinking a hit), compiling on a miss.
@@ -258,6 +122,15 @@ module Jit = struct
       | Some k -> (k, what)
       | None -> fail "plugin %s loaded but registered no kernel" key
     in
+    let compile_and_link () =
+      record_miss ?metrics ();
+      match compile_plugin ?tracer cache ~key e with
+      | Error m -> fail "%s" m
+      | Ok entry -> (
+          match load_plugin entry with
+          | Error m -> fail "dynlink failed: %s" m
+          | Ok () -> linked_or Compiled)
+    in
     match Kernel_link.find key with
     | Some k ->
         record_hit ?metrics ();
@@ -273,48 +146,20 @@ module Jit = struct
                 (* stale artifact (e.g. interface CRC drift): evict and
                    recompile *)
                 Kernel_cache.remove cache key;
-                record_miss ?metrics ();
-                (match compile_plugin ?tracer cache ~key e with
-                | Error m -> fail "%s" m
-                | Ok entry -> (
-                    match load_plugin entry with
-                    | Error m -> fail "dynlink failed: %s" m
-                    | Ok () -> linked_or Compiled)))
-        | None -> (
-            record_miss ?metrics ();
-            match compile_plugin ?tracer cache ~key e with
-            | Error m -> fail "%s" m
-            | Ok entry -> (
-                match load_plugin entry with
-                | Error m -> fail "dynlink failed: %s" m
-                | Ok () -> linked_or Compiled)))
-
-  (** Compile (or cache-hit) and run in-process: median kernel time of
-      [runs] executions after a warmup, mirroring the child protocol. *)
-  let run ?cache ?metrics ?tracer ?(runs = 3)
-      ~(inputs : (string * V.t) list) (e : Dmll_ir.Exp.exp) : result =
-    let kernel, _src = kernel_for ?cache ?metrics ?tracer e in
-    let blob = Marshal.to_string inputs [] in
-    ignore (kernel blob);
-    let times =
-      List.init (Stdlib.max 1 runs) (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          let r = kernel blob in
-          (Unix.gettimeofday () -. t0, r))
-    in
-    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) times in
-    let seconds, raw = List.nth sorted (List.length sorted / 2) in
-    let value : V.t = Marshal.from_string raw 0 in
-    { value; seconds }
+                compile_and_link ())
+        | None -> compile_and_link ())
 end
 
-(* ------------------------------------------------------------------ *)
-(* Unified entry                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** Run [e] natively: in-process JIT when available, child process
-    otherwise.  Both legs share the kernel cache. *)
-let run_best ?cache ?metrics ?tracer ?(runs = 3)
-    ~(inputs : (string * V.t) list) (e : Dmll_ir.Exp.exp) : result =
-  if Lazy.force Jit.available then Jit.run ?cache ?metrics ?tracer ~runs ~inputs e
-  else run ?cache ?metrics ?tracer ~runs ~inputs e
+(** Run [e] natively: resolve its kernel, marshal the inputs it reads,
+    call the kernel once and unmarshal the result.  [seconds] is the
+    wall time of the whole call, so a cold run includes [ocamlopt]. *)
+let run ?cache ?metrics ?tracer ~(inputs : (string * V.t) list)
+    (e : Dmll_ir.Exp.exp) : result =
+  let value, seconds =
+    Dmll_util.Timing.time (fun () ->
+        let kernel, _src = Jit.kernel_for ?cache ?metrics ?tracer e in
+        let read = Codegen_ocaml.inputs_of e in
+        let inputs = List.filter (fun (n, _) -> List.mem_assoc n read) inputs in
+        (Marshal.from_string (kernel (Marshal.to_string inputs [])) 0 : V.t))
+  in
+  { value; seconds }

@@ -2,9 +2,8 @@
     and execute it — the full Delite-style flow the paper used
     (generate → gcc → run), realized with the OCaml toolchain.
 
-    Two execution paths, both fronted by the content-addressed
-    {!Kernel_cache} (DESIGN.md §17): the in-process Dynlink JIT
-    ({!Jit}) and the historical child-process fallback.  A cache hit —
+    One executor, the in-process Dynlink JIT ({!Jit}), fronted by the
+    content-addressed {!Kernel_cache} (DESIGN.md §17).  A cache hit —
     memory or disk — performs {e zero} codegen and zero compilation;
     [kernel_cache_hit]/[kernel_cache_miss] metrics record which
     happened, and each real compile runs under an [Obs.Span]
@@ -18,9 +17,6 @@ type result = { value : V.t; seconds : float }
 
 exception Native_error of string
 
-val available : bool Lazy.t
-(** Is the [ocamlfind ocamlopt] toolchain usable in this environment? *)
-
 val backend_id : string
 val caps_fp : string
 
@@ -28,47 +24,12 @@ val cache_key : Dmll_ir.Exp.exp -> string
 (** The kernel-cache key for a program under this backend's id and
     capability fingerprint. *)
 
-(** {1 Child-process path} *)
-
-type compiled = {
-  dir : string;  (** directory holding the executable (cache entry dir) *)
-  exe : string;
-  source : string;  (** the generated OCaml source, for inspection *)
-}
-
-val compile :
-  ?cache:Kernel_cache.t ->
-  ?metrics:Metrics.t ->
-  ?tracer:Span.t ->
-  Dmll_ir.Exp.exp ->
-  compiled
-(** Generate and compile the standalone program through the kernel
-    cache; a hit skips both steps.  The returned executable lives in
-    its cache entry directory and is reusable across input sets. *)
-
-val execute :
-  compiled -> ?runs:int -> inputs:(string * V.t) list -> unit -> result
-(** Run a compiled program on [inputs]; the child reports the median
-    kernel time of [runs] executions.  Per-run scratch files live in a
-    private temp directory that is always cleaned up. *)
-
-val run :
-  ?cache:Kernel_cache.t ->
-  ?metrics:Metrics.t ->
-  ?tracer:Span.t ->
-  ?runs:int ->
-  inputs:(string * V.t) list ->
-  Dmll_ir.Exp.exp ->
-  result
-(** One-shot: generate (or cache-hit), compile, run, clean up scratch. *)
-
-(** {1 In-process JIT path} *)
-
 module Jit : sig
   val available : bool Lazy.t
-  (** JIT availability: a native-code host ([Dynlink.is_native]), the
-      toolchain, and the [dmll_backend] cmi directory for the plugin's
-      external references. *)
+  (** A native-code host ([Dynlink.is_native]) with the
+      [ocamlfind ocamlopt] toolchain.  The plugin's interface
+      dependencies are embedded in this library, so any such executable
+      qualifies, installed or in the build tree. *)
 
   (** What answered a {!kernel_for} request — lets callers (and tests)
       assert precisely that warm paths did no compilation. *)
@@ -81,29 +42,20 @@ module Jit : sig
     Dmll_ir.Exp.exp ->
     Kernel_link.kernel * source
   (** Resolve the kernel: already-linked registry entry first, then the
-      kernel cache (dynlinking a hit), compiling on a miss.  Every
-      outcome short of [Compiled] did zero codegen and zero
-      compilation. *)
-
-  val run :
-    ?cache:Kernel_cache.t ->
-    ?metrics:Metrics.t ->
-    ?tracer:Span.t ->
-    ?runs:int ->
-    inputs:(string * V.t) list ->
-    Dmll_ir.Exp.exp ->
-    result
-  (** Compile (or cache-hit) and run in-process: median kernel time of
-      [runs] executions after a warmup, mirroring the child protocol. *)
+      kernel cache (dynlinking a hit; an entry that fails to link is
+      evicted and recompiled), compiling on a miss.  Every outcome short
+      of [Compiled] did zero codegen and zero compilation. *)
 end
 
-val run_best :
+val run :
   ?cache:Kernel_cache.t ->
   ?metrics:Metrics.t ->
   ?tracer:Span.t ->
-  ?runs:int ->
   inputs:(string * V.t) list ->
   Dmll_ir.Exp.exp ->
   result
-(** Run natively: in-process JIT when available, child process
-    otherwise.  Both legs share the kernel cache. *)
+(** Resolve the kernel ({!Jit.kernel_for}), marshal the inputs the
+    program reads, call the kernel once and unmarshal its result.
+    [seconds] is the wall time of that whole call: a cold run includes
+    [ocamlopt] and Dynlink.  Raises {!Native_error} when the JIT is
+    unavailable or a compile fails. *)

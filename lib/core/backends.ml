@@ -37,7 +37,7 @@ type B.payload +=
   | Sim_cluster_p of Runtime.Sim_cluster.config
   | Proc_p of Runtime.Proc_cluster.config
   | Net_p of Runtime.Net_cluster.config
-  | Native_p of { cache : Bk.Kernel_cache.t; runs : int }
+  | Native_p of Bk.Kernel_cache.t
 
 (* ------------------------------------------------------------------ *)
 (* Shared result shapes                                                *)
@@ -81,8 +81,6 @@ module Closure_backend : B.S = struct
     | Closure_p -> B.default_plan
     | _ -> B.wrong_payload id
 
-  let emit _ _ = None
-
   let execute p (ctx : B.ctx) e =
     match p with
     | Closure_p ->
@@ -111,8 +109,6 @@ module Multicore_backend : B.S = struct
   let plan = function
     | Multicore_p _ -> B.default_plan
     | _ -> B.wrong_payload id
-
-  let emit _ _ = None
 
   let execute p (ctx : B.ctx) e =
     match p with
@@ -150,8 +146,6 @@ module Numa_backend : B.S = struct
     | Numa_p _ -> B.default_plan
     | _ -> B.wrong_payload id
 
-  let emit _ _ = None
-
   let execute p (ctx : B.ctx) e =
     match p with
     | Numa_p config ->
@@ -185,11 +179,6 @@ module Gpu_backend : B.S = struct
                 (e', if lowered then [ "row-to-column" ] else []));
           }
         else B.default_plan
-    | _ -> B.wrong_payload id
-
-  let emit p e =
-    match p with
-    | Gpu_p _ -> Some (Bk.Codegen_cuda.emit e)
     | _ -> B.wrong_payload id
 
   let execute p (ctx : B.ctx) e =
@@ -232,8 +221,6 @@ module Sim_cluster_backend : B.S = struct
         }
     | _ -> B.wrong_payload id
 
-  let emit _ _ = None
-
   let execute p (ctx : B.ctx) e =
     match p with
     | Sim_cluster_p config ->
@@ -262,8 +249,6 @@ module Proc_backend : B.S = struct
   let plan = function
     | Proc_p _ -> B.default_plan
     | _ -> B.wrong_payload id
-
-  let emit _ _ = None
 
   let execute p (ctx : B.ctx) e =
     match p with
@@ -298,8 +283,6 @@ module Net_backend : B.S = struct
     | Net_p _ -> B.default_plan
     | _ -> B.wrong_payload id
 
-  let emit _ _ = None
-
   let execute p (ctx : B.ctx) e =
     match p with
     | Net_p config ->
@@ -321,7 +304,7 @@ module Native_backend : B.S = struct
   let id = "native"
 
   let describe =
-    "ocamlopt-compiled kernels: Dynlink JIT or child process, kernel-cached"
+    "ocamlopt-compiled kernels, Dynlink-linked in process, kernel-cached"
 
   let capabilities =
     { B.wall_clock = true;
@@ -338,17 +321,12 @@ module Native_backend : B.S = struct
     | Native_p _ -> B.default_plan
     | _ -> B.wrong_payload id
 
-  let emit p e =
-    match p with
-    | Native_p _ -> Some (Bk.Codegen_ocaml.emit_program e)
-    | _ -> B.wrong_payload id
-
   let execute p (ctx : B.ctx) e =
     match p with
-    | Native_p { cache; runs } ->
+    | Native_p cache ->
         let r =
-          Bk.Native.run_best ~cache ~metrics:ctx.B.metrics ?tracer:ctx.B.tracer
-            ~runs ~inputs:ctx.B.inputs e
+          Bk.Native.run ~cache ~metrics:ctx.B.metrics ?tracer:ctx.B.tracer
+            ~inputs:ctx.B.inputs e
         in
         wall ~metrics:ctx.B.metrics r.Bk.Native.value r.Bk.Native.seconds
     | _ -> B.wrong_payload id
@@ -456,7 +434,7 @@ let payload_of (cfg : Config.t) : B.payload =
           metrics = keep nc.Runtime.Net_cluster.metrics cfg.Config.metrics;
         }
   | Config.Native ->
-      Native_p { cache = cache_for cfg.Config.kernel_cache_dir; runs = 3 }
+      Native_p (cache_for cfg.Config.kernel_cache_dir)
 
 (** The backend serving [cfg.target], with the payload [execute] will
     consume — [cfg]'s fault/checkpoint/memory knobs and observability

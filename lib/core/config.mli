@@ -19,8 +19,8 @@ module Span = Dmll_obs.Span
 module Metrics = Dmll_obs.Metrics
 
 (** Execution targets.  All targets compute exact values; [Sequential],
-    [Multicore], [Proc_cluster], and [Net_cluster] measure real
-    wall-clock time, the others model the paper's testbeds (see
+    [Multicore], [Proc_cluster], [Net_cluster], and [Native] measure
+    real wall-clock time, the others model the paper's testbeds (see
     [Dmll_machine.Machine]). *)
 type target =
   | Sequential  (** closure backend, one core — the Table 2 configuration *)
@@ -34,9 +34,9 @@ type target =
       (** TCP-attached worker processes, local or multi-host
           (DESIGN.md §16) *)
   | Native
-      (** generated OCaml compiled by [ocamlopt]: in-process Dynlink JIT
-          when available, child process otherwise, both behind the
-          content-addressed kernel cache (DESIGN.md §17) *)
+      (** generated OCaml compiled by [ocamlopt] and dynlinked into this
+          process, behind the content-addressed kernel cache (DESIGN.md
+          §17); [seconds] is the wall time of one whole kernel call *)
 
 type t = {
   target : target;

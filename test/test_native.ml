@@ -1,21 +1,31 @@
-(* Tests of the native backend (generated OCaml compiled by ocamlopt):
-   every application's generated program must compute exactly what the
-   reference interpreter computes.  Skipped when the toolchain is absent. *)
+(* Tests of the native backend (generated OCaml compiled by ocamlopt and
+   dynlinked): every application's generated kernel must compute exactly
+   what the reference interpreter computes, one [Dmll.execute] calls its
+   kernel once, and the JIT works from an executable outside the build
+   tree.  Skipped when the JIT is unavailable. *)
 
 open Dmll_interp
 module Backend = Dmll_backend
+module Cache = Backend.Kernel_cache
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
+let tint = Alcotest.int
 
-let available = Lazy.force Backend.Native.available
+let available = Lazy.force Backend.Native.Jit.available
+
+(* A private kernel-cache root, removed when the suite exits. *)
+let fresh_cache () =
+  let root = Filename.temp_dir "dmll-native-cache" "" in
+  at_exit (fun () -> Cache.rm_rf root);
+  (root, Cache.create ~root ())
 
 let native_matches ?(eps = 1e-9) name program inputs =
   if not available then ()
   else begin
     let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
     let expected = Interp.run ~inputs program in
-    let r = Backend.Native.run ~runs:1 ~inputs opt in
+    let r = Backend.Native.run ~inputs opt in
     check tbool
       (name ^ ": native = interpreter")
       true
@@ -25,7 +35,7 @@ let native_matches ?(eps = 1e-9) name program inputs =
 
 let test_toolchain () =
   if not available then
-    Printf.printf "ocamlfind/ocamlopt unavailable; native tests skipped\n"
+    Printf.printf "native JIT unavailable; native tests skipped\n"
 
 let rows = 200
 let cols = 6
@@ -54,11 +64,17 @@ let test_q1 () =
   let program = Dmll_apps.Tpch_q1.program () in
   if available then begin
     let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
-    let inputs = Dmll_apps.Tpch_q1.soa_inputs t in
-    let expected = Backend.Closure.run ~inputs opt in
-    let r = Backend.Native.run ~runs:1 ~inputs opt in
-    check tbool "q1 native = closure" true
-      (Value.approx_equal ~eps:1e-9 expected r.Backend.Native.value)
+    let q1_matches what inputs =
+      let expected = Backend.Closure.run ~inputs opt in
+      let r = Backend.Native.run ~inputs opt in
+      check tbool ("q1 native = closure, " ^ what) true
+        (Value.approx_equal ~eps:1e-9 expected r.Backend.Native.value)
+    in
+    q1_matches "columns" (Dmll_apps.Tpch_q1.soa_inputs t);
+    (* the kernel is shipped only the inputs it reads: the unused AoS
+       table beside the columns must change nothing *)
+    q1_matches "rows and columns"
+      (Dmll_apps.Tpch_q1.aos_inputs t @ Dmll_apps.Tpch_q1.soa_inputs t)
   end
 
 let test_gene () =
@@ -68,7 +84,7 @@ let test_gene () =
     let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
     let inputs = Dmll_apps.Gene.soa_inputs g in
     let expected = Backend.Closure.run ~inputs opt in
-    let r = Backend.Native.run ~runs:1 ~inputs opt in
+    let r = Backend.Native.run ~inputs opt in
     check tbool "gene native = closure" true
       (Value.approx_equal ~eps:1e-9 expected r.Backend.Native.value)
   end
@@ -94,6 +110,86 @@ let test_gibbs () =
        ~state:(Dmll_data.Factor_graph.initial_state g)
        ~rand:(Dmll_data.Factor_graph.sweep_randoms ~sweeps:2 g))
 
+(* One [Dmll.execute] on [Native] calls its kernel exactly once: a
+   counting kernel registered under the program's cache key answers the
+   resolve, so the count is the number of calls the executor makes. *)
+let test_one_call_per_execute () =
+  if available then begin
+    let root, _ = fresh_cache () in
+    let cfg =
+      Dmll.Config.(default |> with_target Dmll.Native |> with_kernel_cache_dir root)
+    in
+    let data = Dmll_data.Gaussian.generate ~rows:11 ~cols:2 ~classes:2 () in
+    let c = Dmll.compile_with cfg (Dmll_apps.Kmeans.program ~rows:11 ~cols:2 ~k:2 ()) in
+    let calls = ref 0 in
+    Backend.Kernel_link.register ~key:(Backend.Native.cache_key c.Dmll.final)
+      (fun _ ->
+        incr calls;
+        Marshal.to_string (Value.Vint 42) []);
+    let r =
+      Dmll.execute cfg c
+        ~inputs:
+          (Dmll_apps.Kmeans.inputs data
+             ~centroids:(Dmll_data.Gaussian.random_centroids ~k:2 data))
+    in
+    check tint "kernel called once per execute" 1 !calls;
+    check tbool "execute returns the kernel's value" true
+      (Value.equal (Value.Vint 42) r.Dmll.value)
+  end
+
+(* The JIT from an executable outside the build tree: a copy of this test
+   executable, re-executed with [outside_build_probe] as its argument,
+   runs a small kmeans natively and exits 0 when the JIT is available and
+   its value equals the interpreter's. *)
+let outside_build_probe = "--outside-build-probe"
+
+let probe () =
+  let jit = Lazy.force Backend.Native.Jit.available in
+  let ok =
+    jit
+    &&
+    let _, cache = fresh_cache () in
+    let program = Dmll_apps.Kmeans.program ~rows ~cols ~k () in
+    let inputs = Dmll_apps.Kmeans.inputs ml ~centroids:cents in
+    let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
+    let r = Backend.Native.run ~cache ~inputs opt in
+    Value.approx_equal ~eps:1e-9 (Interp.run ~inputs program) r.Backend.Native.value
+  in
+  Printf.printf "native from %s: JIT available %b, value %s\n"
+    Sys.executable_name jit
+    (if ok then "equals the interpreter's" else "FAILED");
+  exit (if ok then 0 else 1)
+
+let () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = outside_build_probe then probe ()
+
+let test_outside_build () =
+  if available then begin
+    let dir = Filename.temp_dir "dmll-outside-build" "" in
+    Fun.protect
+      ~finally:(fun () -> Cache.rm_rf dir)
+      (fun () ->
+        let copy = Filename.concat dir "native_probe.exe" in
+        Out_channel.with_open_gen [ Open_wronly; Open_creat; Open_binary ] 0o755 copy
+          (fun oc ->
+            Out_channel.output_string oc
+              (In_channel.with_open_bin Sys.executable_name In_channel.input_all));
+        let log = Filename.concat dir "probe.log" in
+        let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+        let pid =
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.create_process copy [| copy; outside_build_probe |] Unix.stdin fd fd)
+        in
+        let _, status = Unix.waitpid [] pid in
+        check tbool
+          ("copied executable runs natively: "
+          ^ In_channel.with_open_bin log In_channel.input_all)
+          true
+          (status = Unix.WEXITED 0))
+  end
+
 let () =
   Alcotest.run "native"
     [ ( "apps",
@@ -106,5 +202,10 @@ let () =
           Alcotest.test_case "pagerank" `Slow test_pagerank;
           Alcotest.test_case "tricount" `Slow test_tricount;
           Alcotest.test_case "gibbs" `Slow test_gibbs;
+        ] );
+      ( "executor",
+        [ Alcotest.test_case "one kernel call per execute" `Quick
+            test_one_call_per_execute;
+          Alcotest.test_case "JIT outside the build tree" `Slow test_outside_build;
         ] );
     ]

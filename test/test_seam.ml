@@ -5,9 +5,10 @@
    (alpha-invariant keys, memory/disk tiers, atomic commit, corrupt and
    torn entries rejected and recompiled), cache hit/miss determinism on
    the twelve apps (the second execution of an identical plan does zero
-   codegen and zero compilation, and its value is bit-identical), and a
-   QCheck property that the Dynlink JIT and the child-process fallback
-   compute the same value on random programs. *)
+   codegen and zero compilation, and its value is bit-identical), the
+   JIT's recovery from a rotten or unloadable cache entry, and a QCheck
+   property that the Dynlink JIT computes the interpreter's value on
+   random programs. *)
 
 open Dmll_ir
 module Backend = Dmll_backend
@@ -68,7 +69,6 @@ let fake_backend fid : (module B.S) =
     let describe = "test stub"
     let capabilities = no_caps
     let plan _ = B.default_plan
-    let emit _ _ = None
     let execute _ _ _ = failwith "stub backend executed"
   end)
 
@@ -212,7 +212,7 @@ let test_cache_key () =
 (* ---------------------- cache tiers and commit ------------------------ *)
 
 let store_payload cache ~key payload =
-  Cache.store cache ~key ~kind:Cache.Exe ~source:"(* generated *)"
+  Cache.store cache ~key ~source:"(* generated *)"
     ~artifact:"a.bin"
     ~build:(fun ~dir ->
       write_file (Filename.concat dir "a.bin") payload;
@@ -279,10 +279,20 @@ let test_cache_corruption () =
     (Cache.read_all e2.Cache.artifact);
   (* torn META (truncated mid-write without the atomic rename) *)
   let e3 = entry_of (store_payload cache ~key:"torn" "torn-payload") in
-  write_file (Filename.concat e3.Cache.dir "META") "DMLLKERN1\nkind=exe\n";
+  write_file (Filename.concat e3.Cache.dir "META") "DMLLKERN1\nkind=cmxs\n";
   Cache.drop_memory cache;
   check tbool "torn META rejected" true (Cache.find cache "torn" = None);
   check tbool "torn entry deleted" false (Sys.file_exists e3.Cache.dir);
+  (* an intact entry of another kind (an executable) is never loaded *)
+  let e6 = entry_of (store_payload cache ~key:"exe" "exe-payload") in
+  let meta = Filename.concat e6.Cache.dir "META" in
+  write_file meta
+    (String.split_on_char '\n' (Cache.read_all meta)
+    |> List.map (fun l -> if l = "kind=cmxs" then "kind=exe" else l)
+    |> String.concat "\n");
+  Cache.drop_memory cache;
+  check tbool "entry of another kind rejected" true (Cache.find cache "exe" = None);
+  check tbool "entry of another kind deleted" false (Sys.file_exists e6.Cache.dir);
   (* missing META entirely *)
   let e4 = entry_of (store_payload cache ~key:"bare" "bare-payload") in
   Sys.remove (Filename.concat e4.Cache.dir "META");
@@ -296,7 +306,7 @@ let test_cache_corruption () =
     (Cache.find cache "gone" = None);
   (* a failing build never commits *)
   (match
-     Cache.store cache ~key:"fail" ~kind:Cache.Exe ~source:"s" ~artifact:"a"
+     Cache.store cache ~key:"fail" ~source:"s" ~artifact:"a"
        ~build:(fun ~dir:_ -> Error "simulated compiler failure") ()
    with
   | Ok _ -> Alcotest.fail "failed build must not commit"
@@ -374,8 +384,8 @@ let apps : (string * Exp.exp * (string * V.t) list) list =
    a bit-identical value.  Apps the OCaml codegen cannot express yet are
    skipped — but most must compile, or the test is vacuous. *)
 let test_twelve_app_determinism () =
-  if not (Lazy.force Native.available) then
-    Printf.printf "ocamlfind/ocamlopt unavailable; determinism test skipped\n"
+  if not (Lazy.force Native.Jit.available) then
+    Printf.printf "native JIT unavailable; determinism test skipped\n"
   else begin
     let cache = Cache.create ~root:(fresh_root ()) () in
     let compiled = ref 0 in
@@ -383,7 +393,7 @@ let test_twelve_app_determinism () =
       (fun (name, program, inputs) ->
         let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
         let m1 = Metrics.create () in
-        match Native.run_best ~cache ~metrics:m1 ~runs:1 ~inputs opt with
+        match Native.run ~cache ~metrics:m1 ~inputs opt with
         | exception Backend.Codegen_ocaml.Unsupported _ -> ()
         | r1 ->
             incr compiled;
@@ -392,7 +402,7 @@ let test_twelve_app_determinism () =
             check tint (name ^ ": cold run has no hit") 0
               (Metrics.count m1 "kernel_cache_hit");
             let m2 = Metrics.create () in
-            let r2 = Native.run_best ~cache ~metrics:m2 ~runs:1 ~inputs opt in
+            let r2 = Native.run ~cache ~metrics:m2 ~inputs opt in
             check tint (name ^ ": warm run hits the cache") 1
               (Metrics.count m2 "kernel_cache_hit");
             check tint (name ^ ": warm run does zero compilation") 0
@@ -415,71 +425,85 @@ let test_twelve_app_determinism () =
 
 (* ----------------- corrupt entry recompiles end-to-end ---------------- *)
 
+let kmeans_case ~rows =
+  let program = Dmll_apps.Kmeans.program ~rows ~cols:3 ~k:2 () in
+  let data = Dmll_data.Gaussian.generate ~rows ~cols:3 ~classes:2 () in
+  let inputs =
+    Dmll_apps.Kmeans.inputs data
+      ~centroids:(Dmll_data.Gaussian.random_centroids ~k:2 data)
+  in
+  ((Dmll.compile_with Dmll.Config.default program).Dmll.final, inputs)
+
 let test_native_corrupt_recompile () =
-  if not (Lazy.force Native.available) then ()
-  else begin
+  if Lazy.force Native.Jit.available then begin
     let cache = Cache.create ~root:(fresh_root ()) () in
-    let program = Dmll_apps.Kmeans.program ~rows:16 ~cols:3 ~k:2 () in
-    let data = Dmll_data.Gaussian.generate ~rows:16 ~cols:3 ~classes:2 () in
-    let inputs =
-      Dmll_apps.Kmeans.inputs data
-        ~centroids:(Dmll_data.Gaussian.random_centroids ~k:2 data)
-    in
-    let opt = (Dmll.compile_with Dmll.Config.default program).Dmll.final in
+    (* checksum rot after commit: the entry is rejected and deleted *)
+    let opt, inputs = kmeans_case ~rows:16 in
     let m1 = Metrics.create () in
-    (* force the child-process path: it shares the cache discipline and
-       keeps this test independent of Dynlink availability *)
-    let r1 = Native.run ~cache ~metrics:m1 ~runs:1 ~inputs opt in
+    ignore (Native.run ~cache ~metrics:m1 ~inputs opt);
     check tint "first run compiles" 1 (Metrics.count m1 "kernel_cache_miss");
-    let key = Native.cache_key opt ^ "-exe" in
+    let key = Native.cache_key opt in
     (match Cache.find cache key with
     | None -> Alcotest.fail "compiled kernel not committed under its key"
     | Some (e, _) ->
-        (* storage rot on the committed executable *)
-        write_file e.Cache.artifact "not an executable";
+        (* a new file under the artifact's name: the linked plugin maps
+           the old one, and truncating a mapped file faults the process *)
+        let rotten = e.Cache.artifact ^ ".rot" in
+        write_file rotten "not a shared object";
+        Sys.rename rotten e.Cache.artifact;
         Cache.drop_memory cache;
         check tbool "rotten kernel rejected" true (Cache.find cache key = None);
         check tbool "rotten entry deleted" false (Sys.file_exists e.Cache.dir));
+    (* an intact entry whose artifact fails to Dynlink, under a key not
+       yet linked here: evicted, recompiled once, and the value is right *)
+    let opt, inputs = kmeans_case ~rows:17 in
+    let key = Native.cache_key opt in
+    check tbool "key not yet linked" true (Backend.Kernel_link.find key = None);
+    let broken =
+      entry_of
+        (Cache.store cache ~key ~source:"(* not a kernel *)" ~artifact:"broken.cmxs"
+           ~build:(fun ~dir ->
+             write_file (Filename.concat dir "broken.cmxs") "not a shared object";
+             Ok ())
+           ())
+    in
     let m2 = Metrics.create () in
-    let r2 = Native.run ~cache ~metrics:m2 ~runs:1 ~inputs opt in
-    check tint "rejected entry forces a recompile" 1
+    let r = Native.run ~cache ~metrics:m2 ~inputs opt in
+    check tint "unloadable entry forces one recompile" 1
       (Metrics.count m2 "kernel_cache_miss");
-    check tbool "recompiled value identical" true
-      (String.equal
-         (Marshal.to_string r1.Native.value [])
-         (Marshal.to_string r2.Native.value []))
+    check tint "unloadable entry is no hit" 0 (Metrics.count m2 "kernel_cache_hit");
+    check tbool "recompiled value matches the interpreter" true
+      (V.approx_equal ~eps:1e-9 (Interp.run ~inputs opt) r.Native.value);
+    match Cache.find cache key with
+    | Some (e, _) ->
+        check tbool "the unloadable artifact was replaced" false
+          (String.equal e.Cache.artifact broken.Cache.artifact)
+    | None -> Alcotest.fail "recompiled kernel not committed"
   end
 
-(* ------------------- QCheck: Dynlink = child process ------------------ *)
+(* ------------------- QCheck: Dynlink JIT = interpreter ----------------- *)
 
-(* Both paths compile the same generated source, so their values must be
-   exactly equal — and both must agree with the interpreter.  Each leg
-   compiles with ocamlopt, so the count trades coverage against suite
-   wall-time; DMLL_SEAM_QCHECK overrides it. *)
+(* Each case compiles with ocamlopt, so the count trades coverage against
+   suite wall-time; DMLL_SEAM_QCHECK overrides it. *)
 let qcheck_count =
   match Sys.getenv_opt "DMLL_SEAM_QCHECK" with
   | Some n -> ( match int_of_string_opt n with Some n -> n | None -> 100)
   | None -> 100
 
-let prop_jit_equals_child =
+let prop_jit_equals_interpreter =
   let cache = Cache.create ~root:(fresh_root ()) () in
   QCheck.Test.make ~count:qcheck_count
-    ~name:"Dynlink JIT = child process on random programs"
+    ~name:"Dynlink JIT = interpreter on random programs"
     Dmll_testgen.Gen_ir.arbitrary_program (fun e ->
       if not (Lazy.force Native.Jit.available) then QCheck.assume_fail ()
       else
         match Interp.run e with
         | exception Interp.Runtime_error _ -> QCheck.assume_fail ()
         | expected -> (
-            match
-              ( Native.Jit.run ~cache ~runs:1 ~inputs:[] e,
-                Native.run ~cache ~runs:1 ~inputs:[] e )
-            with
+            match Native.run ~cache ~inputs:[] e with
             | exception Backend.Codegen_ocaml.Unsupported _ ->
                 QCheck.assume_fail ()
-            | jit, child ->
-                V.equal jit.Native.value child.Native.value
-                && V.approx_equal ~eps:1e-9 expected jit.Native.value))
+            | jit -> V.approx_equal ~eps:1e-9 expected jit.Native.value))
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -502,6 +526,6 @@ let () =
             test_twelve_app_determinism;
           Alcotest.test_case "corrupt kernel recompiles" `Slow
             test_native_corrupt_recompile;
-          qcheck prop_jit_equals_child;
+          qcheck prop_jit_equals_interpreter;
         ] );
     ]
